@@ -661,7 +661,18 @@ let resilience () =
     "@.chaos harness: %d plans x 3 legs (%d supervised items) in %.2f s; contract ok = %b@."
     (List.length report.Chaos.runs) items chaos_t (Chaos.ok report);
   record ~section:"RESILIENCE" "chaos-s" chaos_t;
-  record ~section:"RESILIENCE" "chaos-ok" (if Chaos.ok report then 1. else 0.)
+  record ~section:"RESILIENCE" "chaos-ok" (if Chaos.ok report then 1. else 0.);
+  (* the costliest plan on its own: short-recv's 7-byte clamps spin
+     three NULL HTTPD lint candidates to the interpreter's loop bound
+     (300,608 injected faults per run); min of 3 runs *)
+  let short_recv_t =
+    List.fold_left Float.min infinity
+      (List.init 3 (fun _ ->
+           snd (wall (fun () -> Chaos.run ~plans:[ Fault.Catalog.short_recv ] ()))))
+  in
+  Format.printf "chaos short-recv plan alone: %.1f ms (min of 3)@."
+    (short_recv_t *. 1000.);
+  record ~section:"RESILIENCE" "chaos-short-recv-ms" (short_recv_t *. 1000.)
 
 (* ================= PAR: domain pool + analysis memo =============== *)
 
@@ -1057,9 +1068,9 @@ let store_bench () =
    Each leg therefore runs three times and reports the minimum time
    and minimum bytes: the one-off can inflate at most one repetition,
    so the min is the stable, comparable figure. *)
-let best_of leg =
+let best_of ?(bytes_of = Obs.Allocs.bytes_of) leg =
   let run () =
-    let (r, bytes), t = wall (fun () -> Obs.Allocs.bytes_of leg) in
+    let (r, bytes), t = wall (fun () -> bytes_of leg) in
     (r, bytes, t)
   in
   let r, b0, t0 = run () in
@@ -1242,7 +1253,39 @@ let perf_bench () =
   record ~section:"PERF" "absint-slots-ms" (at_s *. 1000.);
   record ~section:"PERF" "absint-smap-bytes" abytes_m;
   record ~section:"PERF" "absint-slots-bytes" abytes_s;
-  record ~section:"PERF" "absint-agree" (if raws_m = raws_s then 1. else 0.)
+  record ~section:"PERF" "absint-agree" (if raws_m = raws_s then 1. else 0.);
+
+  (* the two costs of chaos's short-recv plan: mini-C loop iterations
+     and injected-fault records.  The by-name tree walker lives only in
+     test/ as an oracle, so these legs time the production side alone
+     (EXPERIMENTS PERF has the figures of the implementations they
+     replaced).  Bytes count minor-heap allocation only: whole-heap
+     accounting of these runs shifts with collector phase from one
+     process to the next. *)
+  let spin () =
+    (* ReadPOSTData's || loop with a silent peer: 100k iterations *)
+    Minic.Corpus.run_read_post_data Minic.Corpus.read_post_data_buggy
+      ~content_len:500 ~body:(String.make 100 'z')
+  in
+  let clamp () =
+    snd
+      (Fault.Hooks.run Fault.Catalog.short_recv (fun () ->
+           for _ = 1 to 100_000 do
+             ignore (Fault.Hooks.recv_request ~requested:1024 ~consumed:0)
+           done))
+  in
+  let (spun, ibytes), it = best_of ~bytes_of:Obs.Allocs.minor_bytes_of spin in
+  let (events, rbytes), rt = best_of ~bytes_of:Obs.Allocs.minor_bytes_of clamp in
+  Format.printf "@.mini-C interpreter, 100k loop iterations:@.";
+  Format.printf "  slot-resolved         %8.2f ms  %12.0f bytes  (diverged=%b)@."
+    (it *. 1000.) ibytes (spun = Minic.Interp.Diverged);
+  Format.printf "fault events, 100k clamped recvs:@.";
+  Format.printf "  typed, rendered lazily %7.2f ms  %12.0f bytes  (%d events)@."
+    (rt *. 1000.) rbytes (List.length events);
+  record ~section:"PERF" "interp-100k-iter-ms" (it *. 1000.);
+  record ~section:"PERF" "interp-100k-iter-bytes" ibytes;
+  record ~section:"PERF" "fault-record-100k-ms" (rt *. 1000.);
+  record ~section:"PERF" "fault-record-100k-bytes" rbytes
 
 (* ================= CORPUS: streaming generation + classification == *)
 

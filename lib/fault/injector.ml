@@ -6,6 +6,14 @@ type io_fault =
   | Io_error of string
   | Io_crash
 
+(* Events are kept as runs of one repeated value, newest run first.  A
+   plan that clamps every recv of a spinning loop fires the same event
+   100k times; as one run with a count it costs the injector no live
+   memory per event, where a list of them would be marked by every
+   major collection for the rest of the run.  [events] expands the
+   runs only when asked. *)
+type run = { event : Event.t; mutable count : int }
+
 type t = {
   plan : Plan.t;
   rng : Vulndb.Prng.t;
@@ -14,7 +22,7 @@ type t = {
   mutable writes : int;
   mutable schedules : int;
   mutable store_writes : int;
-  mutable events : Event.t list;   (* newest first *)
+  mutable runs : run list;
 }
 
 let create plan =
@@ -25,19 +33,28 @@ let create plan =
     writes = 0;
     schedules = 0;
     store_writes = 0;
-    events = [] }
+    runs = [] }
 
 let plan t = t.plan
 
-let events t = List.rev t.events
+let events t =
+  let rec repeat r n acc = if n = 0 then acc else repeat r (n - 1) (r.event :: acc) in
+  List.fold_left (fun acc r -> repeat r r.count acc) [] t.runs
 
 let m_injected = Obs.Metrics.counter "fault.injected"
 
-let record t ~seam detail =
+(* The event's text is rendered only for a live trace: the clamped-recv
+   seam alone can fire 300k times in one chaos run, and nothing but
+   [--trace] reads the strings. *)
+let record t event =
   Obs.Metrics.incr m_injected;
-  Obs.Span.instant ~cat:"fault" ~args:[ ("seam", seam); ("detail", detail) ]
-    "fault.injected";
-  t.events <- Event.make ~seam detail :: t.events
+  if Obs.Trace.enabled () then
+    Obs.Span.instant ~cat:"fault"
+      ~args:[ ("seam", Event.seam event); ("detail", Event.detail event) ]
+      "fault.injected";
+  match t.runs with
+  | r :: _ when r.event = event -> r.count <- r.count + 1
+  | runs -> t.runs <- { event; count = 1 } :: runs
 
 let chance t = function
   | None -> false
@@ -50,8 +67,7 @@ let heap_alloc_fails t ~requested =
   | Some _ as p ->
       let fails = chance t p in
       if fails then
-        record t ~seam:"machine.heap"
-          (Printf.sprintf "malloc(%d) denied (allocation #%d)" requested t.allocs);
+        record t (Event.Heap_denied { requested; allocation = t.allocs });
       fails
 
 (* The socket seam both clamps the granted chunk and, past the
@@ -61,14 +77,12 @@ let recv_request t ~requested ~consumed =
   t.recvs <- idx + 1;
   (match t.plan.Plan.socket_reset_after with
    | Some k when idx >= k ->
-       record t ~seam:"osmodel.socket"
-         (Printf.sprintf "connection reset at recv #%d" (idx + 1));
+       record t (Event.Connection_reset { recv = idx + 1 });
        Condition.fail (Condition.Socket_reset { consumed })
    | Some _ | None -> ());
   match t.plan.Plan.recv_max_chunk with
   | Some chunk when requested > chunk ->
-      record t ~seam:"osmodel.socket"
-        (Printf.sprintf "recv(%d) clamped to %d bytes" requested chunk);
+      record t (Event.Recv_clamped { requested; chunk });
       chunk
   | Some _ | None -> requested
 
@@ -82,7 +96,7 @@ let fs_denies t ~path =
       let h = Hashtbl.hash (t.plan.Plan.seed, "fs", path) in
       let denied = h mod 100 < percent in
       if denied then
-        record t ~seam:"osmodel.filesystem" (Printf.sprintf "EACCES on %s" path);
+        record t (Event.Fs_denied { path });
       denied
 
 let mangle t s =
@@ -97,9 +111,8 @@ let mangle t s =
         let b = Bytes.of_string s in
         Bytes.set b off
           (Char.chr (Char.code (Bytes.get b off) lxor (1 lsl bit)));
-        record t ~seam:"machine.memory"
-          (Printf.sprintf "bit %d of byte %d flipped in a %d-byte write" bit off
-             (String.length s));
+        record t
+          (Event.Bit_flipped { bit; byte = off; len = String.length s });
         Bytes.to_string b
       end
 
@@ -115,30 +128,24 @@ let store_write t ~len =
     let write = t.store_writes in
     if len > 0 && chance t t.plan.Plan.io_torn_percent then begin
       let keep = Vulndb.Prng.below t.rng len in
-      record t ~seam:"store.io"
-        (Printf.sprintf "write #%d torn: %d of %d bytes reach disk" write keep
-           len);
+      record t (Event.Store_torn { write; kept = keep; len });
       Some (Io_torn keep)
     end
     else if len > 0 && chance t t.plan.Plan.io_flip_percent then begin
       let off = Vulndb.Prng.below t.rng len in
       let bit = Vulndb.Prng.below t.rng 8 in
-      record t ~seam:"store.io"
-        (Printf.sprintf "write #%d corrupted: bit %d of byte %d flipped" write
-           bit off);
+      record t (Event.Store_flipped { write; bit; byte = off });
       Some (Io_flip (off, bit))
     end
     else if chance t t.plan.Plan.io_error_percent then begin
       let errno =
         if Vulndb.Prng.below t.rng 2 = 0 then "ENOSPC" else "EACCES"
       in
-      record t ~seam:"store.io"
-        (Printf.sprintf "write #%d failed: %s" write errno);
+      record t (Event.Store_failed { write; errno });
       Some (Io_error errno)
     end
     else if chance t t.plan.Plan.io_crash_percent then begin
-      record t ~seam:"store.io"
-        (Printf.sprintf "write #%d crashed before rename (orphan tmp)" write);
+      record t (Event.Store_crashed { write });
       Some Io_crash
     end
     else None
@@ -150,14 +157,14 @@ let schedule_mutation t ~steps =
     t.schedules <- t.schedules + 1;
     if chance t t.plan.Plan.sched_drop_percent then begin
       let i = Vulndb.Prng.below t.rng steps in
-      record t ~seam:"osmodel.scheduler"
-        (Printf.sprintf "step %d of %d dropped (schedule #%d)" i steps t.schedules);
+      record t
+        (Event.Step_dropped { step = i; steps; schedule = t.schedules });
       Some (Drop_step i)
     end
     else if chance t t.plan.Plan.sched_dup_percent then begin
       let i = Vulndb.Prng.below t.rng steps in
-      record t ~seam:"osmodel.scheduler"
-        (Printf.sprintf "step %d of %d duplicated (schedule #%d)" i steps t.schedules);
+      record t
+        (Event.Step_duplicated { step = i; steps; schedule = t.schedules });
       Some (Dup_step i)
     end
     else None

@@ -15,11 +15,96 @@ let loop_bound = 100_000
 
 exception Stop of outcome
 
+(* ---- names resolved to slots ---------------------------------------
+
+   [run] resolves every name once, before the body executes: a
+   variable becomes an index into one [value option array], a buffer
+   its stack address and capacity, an array its base and element
+   count.  A loop iteration then indexes an array instead of probing
+   string-keyed tables.  Buffers and arrays are fixed for the whole run
+   (C reserves stack slots at function entry), so resolving them early
+   changes no outcome; an undeclared buffer or array resolves to
+   [at = None] and rejects at the point of execution where a by-name
+   lookup would have failed.  Evaluation order, and with it the order
+   of every seam the machine and socket consult, is the tree walker's.
+   The retired tree walker is the differential oracle in test/. *)
+
+type region = { name : string; at : (Machine.Addr.t * int) option }
+
+type expr =
+  | Lit of value
+  | Var of int * string          (* slot, and the name for the error *)
+  | Buf of Machine.Addr.t        (* a buffer read as its C string *)
+  | Bin of Ast.binop * expr * expr
+  | Not of expr
+  | Atoi of expr
+  | Strlen of expr
+
+type stmt =
+  | Set of int * expr
+  | Recv of int * region * expr * expr   (* rc slot, buffer, offset, max *)
+  | Store of region * expr * expr
+  | Strcpy of region * expr
+  | Strncpy of region * expr * expr
+  | If of expr * stmt list * stmt list
+  | While of expr * stmt list
+  | Do_while of stmt list * expr
+  | Reject of string
+  | Return of expr
+
+type scope = {
+  slots : (string, int) Hashtbl.t;
+  buffers : (string, Machine.Addr.t * int) Hashtbl.t;  (* addr, capacity *)
+  arrays : (string * (Machine.Addr.t * int)) list;    (* base, element count *)
+}
+
+let slot sc name =
+  match Hashtbl.find_opt sc.slots name with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length sc.slots in
+      Hashtbl.add sc.slots name i;
+      i
+
+let rec resolve_expr sc (e : Ast.expr) =
+  match e with
+  | Ast.Int_lit n -> Lit (Vint n)
+  | Ast.Str_lit s -> Lit (Vstr s)
+  | Ast.Var v -> (
+      match Hashtbl.find_opt sc.buffers v with
+      | Some (addr, _) -> Buf addr
+      | None -> Var (slot sc v, v))
+  | Ast.Bin (op, a, b) -> Bin (op, resolve_expr sc a, resolve_expr sc b)
+  | Ast.Not e -> Not (resolve_expr sc e)
+  | Ast.Atoi e -> Atoi (resolve_expr sc e)
+  | Ast.Strlen e -> Strlen (resolve_expr sc e)
+
+let buffer sc name = { name; at = Hashtbl.find_opt sc.buffers name }
+
+let rec resolve_stmt sc (s : Ast.stmt) =
+  let ex = resolve_expr sc in
+  match s with
+  | Ast.Decl_int (v, e) | Ast.Assign (v, e) -> Some (Set (slot sc v, ex e))
+  | Ast.Decl_buf _ | Ast.Decl_buf_dyn _ -> None  (* allocated up front *)
+  | Ast.Recv_into (rc, b, off, max) ->
+      Some (Recv (slot sc rc, buffer sc b, ex off, ex max))
+  | Ast.Array_store (a, idx, v) ->
+      Some (Store ({ name = a; at = List.assoc_opt a sc.arrays }, ex idx, ex v))
+  | Ast.Strcpy (b, e) -> Some (Strcpy (buffer sc b, ex e))
+  | Ast.Strncpy (b, e, bound) -> Some (Strncpy (buffer sc b, ex e, ex bound))
+  | Ast.If (c, t, e) -> Some (If (ex c, resolve_block sc t, resolve_block sc e))
+  | Ast.While (c, body) -> Some (While (ex c, resolve_block sc body))
+  | Ast.Do_while (body, c) -> Some (Do_while (resolve_block sc body, ex c))
+  | Ast.Reject reason -> Some (Reject reason)
+  | Ast.Return e -> Some (Return (ex e))
+
+and resolve_block sc stmts = List.filter_map (resolve_stmt sc) stmts
+
+(* ---- execution ----------------------------------------------------- *)
+
 type state = {
-  proc : Machine.Process.t;
-  vars : (string, value) Hashtbl.t;
-  arrays : (string * (Machine.Addr.t * int)) list;   (* base, element count *)
-  buffers : (string, Machine.Addr.t * int) Hashtbl.t; (* addr, capacity *)
+  mem : Machine.Memory.t;
+  vars : value option array;
   socket : Osmodel.Socket.t;
 }
 
@@ -33,133 +118,129 @@ let as_str = function
   | Vstr s -> s
   | Vint _ -> raise (Stop (Rejected "type error: expected string"))
 
-let lookup st v =
-  match Hashtbl.find_opt st.vars v with
-  | Some value -> value
-  | None -> raise (Stop (Rejected ("unbound variable " ^ v)))
+(* [eval_int st e] is [as_int (eval st e)] without boxing the results
+   of arithmetic, comparisons and tests along the way: a loop condition
+   or an offset computation allocates nothing. *)
+let rec eval st = function
+  | Lit v -> v
+  | Var (i, name) -> (
+      match st.vars.(i) with
+      | Some v -> v
+      | None -> raise (Stop (Rejected ("unbound variable " ^ name))))
+  | Buf addr -> Vstr (Machine.Memory.read_cstring st.mem addr)
+  | (Bin _ | Not _ | Atoi _ | Strlen _) as e -> Vint (eval_int st e)
 
-let rec eval st (e : Ast.expr) : value =
-  match e with
-  | Ast.Int_lit n -> Vint n
-  | Ast.Str_lit s -> Vstr s
-  | Ast.Var v -> (
-      match Hashtbl.find_opt st.buffers v with
-      | Some (addr, _) ->
-          (* a buffer in expression position reads as its C string *)
-          Vstr (Machine.Memory.read_cstring (Machine.Process.mem st.proc) addr)
-      | None -> lookup st v)
-  | Ast.Bin (op, a, b) -> eval_bin st op a b
-  | Ast.Not e -> Vint (if truthy (as_int (eval st e)) then 0 else 1)
-  | Ast.Atoi e -> Vint (Pfsm.Strcodec.atoi32 (as_str (eval st e)))
-  | Ast.Strlen e -> Vint (String.length (as_str (eval st e)))
+and eval_int st = function
+  | Bin (op, a, b) -> eval_bin st op a b
+  | Not e -> if truthy (eval_int st e) then 0 else 1
+  | Atoi e -> Pfsm.Strcodec.atoi32 (as_str (eval st e))
+  | Strlen e -> String.length (as_str (eval st e))
+  | (Lit _ | Var _ | Buf _) as e -> as_int (eval st e)
 
+(* One exhaustive match, each constructor with its own arm: the
+   short-circuit ops never reach the strict-evaluation helpers, by
+   construction rather than by an [assert false] that adversarial
+   Progen ASTs could in principle reach. *)
 and eval_bin st op a b =
-  (* One exhaustive match, each constructor with its own arm: the
-     short-circuit ops never reach the strict-evaluation helpers, by
-     construction rather than by an [assert false] that adversarial
-     Progen ASTs could in principle reach. *)
-  let num f =
-    let x = as_int (eval st a) and y = as_int (eval st b) in
-    Vint (Pfsm.Strcodec.wrap32 (f x y))
-  in
-  let cmp f =
-    let x = as_int (eval st a) and y = as_int (eval st b) in
-    Vint (if f x y then 1 else 0)
-  in
   match op with
-  | Ast.And -> Vint (if truthy (as_int (eval st a)) && truthy (as_int (eval st b)) then 1 else 0)
-  | Ast.Or -> Vint (if truthy (as_int (eval st a)) || truthy (as_int (eval st b)) then 1 else 0)
-  | Ast.Add -> num ( + )
-  | Ast.Sub -> num ( - )
-  | Ast.Mul -> num ( * )
-  | Ast.Lt -> cmp ( < )
-  | Ast.Le -> cmp ( <= )
-  | Ast.Gt -> cmp ( > )
-  | Ast.Ge -> cmp ( >= )
-  | Ast.Eq -> cmp ( = )
-  | Ast.Ne -> cmp ( <> )
+  | Ast.And -> if truthy (eval_int st a) && truthy (eval_int st b) then 1 else 0
+  | Ast.Or -> if truthy (eval_int st a) || truthy (eval_int st b) then 1 else 0
+  | Ast.Add -> num st a b ( + )
+  | Ast.Sub -> num st a b ( - )
+  | Ast.Mul -> num st a b ( * )
+  | Ast.Lt -> cmp st a b ( < )
+  | Ast.Le -> cmp st a b ( <= )
+  | Ast.Gt -> cmp st a b ( > )
+  | Ast.Ge -> cmp st a b ( >= )
+  | Ast.Eq -> cmp st a b ( = )
+  | Ast.Ne -> cmp st a b ( <> )
 
-let copy_into_buffer st buffer data =
-  match Hashtbl.find_opt st.buffers buffer with
-  | None -> raise (Stop (Rejected ("no such buffer " ^ buffer)))
+and num st a b f =
+  let x = eval_int st a and y = eval_int st b in
+  Pfsm.Strcodec.wrap32 (f x y)
+
+and cmp st a b (f : int -> int -> bool) =
+  let x = eval_int st a and y = eval_int st b in
+  if f x y then 1 else 0
+
+let overflow buffer ~wrote ~capacity =
+  Stop (Memory_violation (Buffer_overflow { buffer; wrote; capacity }))
+
+let machine_fault addr = Stop (Memory_violation (Machine_fault addr))
+
+let copy_into_buffer st (b : region) data =
+  match b.at with
+  | None -> raise (Stop (Rejected ("no such buffer " ^ b.name)))
   | Some (addr, capacity) -> (
-      match Machine.Cstring.strcpy (Machine.Process.mem st.proc) ~dst:addr data with
+      match Machine.Cstring.strcpy st.mem ~dst:addr data with
       | () ->
           if String.length data + 1 > capacity then
-            raise
-              (Stop
-                 (Memory_violation
-                    (Buffer_overflow
-                       { buffer; wrote = String.length data + 1; capacity })))
-      | exception Machine.Memory.Fault { addr; _ } ->
-          raise (Stop (Memory_violation (Machine_fault addr))))
+            raise (overflow b.name ~wrote:(String.length data + 1) ~capacity)
+      | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr))
 
-let rec exec st (stmt : Ast.stmt) =
-  match stmt with
-  | Ast.Decl_int (v, e) | Ast.Assign (v, e) -> Hashtbl.replace st.vars v (eval st e)
-  | Ast.Decl_buf (_, _) | Ast.Decl_buf_dyn (_, _) ->
-      ()   (* allocated up front, like C stack slots *)
-  | Ast.Recv_into (rc_var, buffer, off_e, max_e) -> (
-      match Hashtbl.find_opt st.buffers buffer with
-      | None -> raise (Stop (Rejected ("no such buffer " ^ buffer)))
+let rec exec st = function
+  | Set (i, e) -> st.vars.(i) <- Some (eval st e)
+  | Recv (rc_slot, b, off_e, max_e) -> (
+      match b.at with
+      | None -> raise (Stop (Rejected ("no such buffer " ^ b.name)))
       | Some (addr, capacity) -> (
-          let off = as_int (eval st off_e) in
-          let maxlen = as_int (eval st max_e) in
+          let off = eval_int st off_e in
+          let maxlen = eval_int st max_e in
           let chunk = Osmodel.Socket.recv st.socket maxlen in
           let rc = String.length chunk in
-          match
-            Machine.Memory.write_string (Machine.Process.mem st.proc) (addr + off) chunk
-          with
+          match Machine.Memory.write_string st.mem (addr + off) chunk with
           | () ->
-              Hashtbl.replace st.vars rc_var (Vint rc);
+              st.vars.(rc_slot) <- Some (Vint rc);
               if rc > 0 && off + rc > capacity then
-                raise
-                  (Stop
-                     (Memory_violation
-                        (Buffer_overflow
-                           { buffer; wrote = off + rc; capacity })))
-          | exception Machine.Memory.Fault { addr; _ } ->
-              raise (Stop (Memory_violation (Machine_fault addr)))))
-  | Ast.Array_store (array, idx_e, v_e) -> (
-      match List.assoc_opt array st.arrays with
-      | None -> raise (Stop (Rejected ("no such array " ^ array)))
+                raise (overflow b.name ~wrote:(off + rc) ~capacity)
+          | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr)))
+  | Store (a, idx_e, v_e) -> (
+      match a.at with
+      | None -> raise (Stop (Rejected ("no such array " ^ a.name)))
       | Some (base, count) -> (
-          let idx = as_int (eval st idx_e) in
-          let v = as_int (eval st v_e) in
-          let addr = base + (4 * idx) in
-          match Machine.Memory.write_i32 (Machine.Process.mem st.proc) addr v with
+          let idx = eval_int st idx_e in
+          let v = eval_int st v_e in
+          match Machine.Memory.write_i32 st.mem (base + (4 * idx)) v with
           | () ->
               if idx < 0 || idx >= count then
-                raise (Stop (Memory_violation (Array_oob { array; index = idx })))
-          | exception Machine.Memory.Fault { addr; _ } ->
-              raise (Stop (Memory_violation (Machine_fault addr)))))
-  | Ast.Strcpy (buffer, e) -> copy_into_buffer st buffer (as_str (eval st e))
-  | Ast.Strncpy (buffer, e, bound_e) ->
+                raise
+                  (Stop (Memory_violation (Array_oob { array = a.name; index = idx })))
+          | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr)))
+  | Strcpy (b, e) -> copy_into_buffer st b (as_str (eval st e))
+  | Strncpy (b, e, bound_e) ->
       let s = as_str (eval st e) in
-      let bound = as_int (eval st bound_e) in
+      let bound = eval_int st bound_e in
       let copy = if bound < 0 then s else String.sub s 0 (min bound (String.length s)) in
-      copy_into_buffer st buffer copy
-  | Ast.If (cond, then_, else_) ->
-      if truthy (as_int (eval st cond)) then List.iter (exec st) then_
-      else List.iter (exec st) else_
-  | Ast.While (cond, body) ->
+      copy_into_buffer st b copy
+  | If (cond, then_, else_) ->
+      if truthy (eval_int st cond) then exec_block st then_
+      else exec_block st else_
+  | While (cond, body) ->
       let iterations = ref 0 in
-      while truthy (as_int (eval st cond)) do
+      while truthy (eval_int st cond) do
         incr iterations;
         if !iterations > loop_bound then raise (Stop Diverged);
-        List.iter (exec st) body
+        exec_block st body
       done
-  | Ast.Do_while (body, cond) ->
+  | Do_while (body, cond) ->
       let iterations = ref 0 in
       let continue_ = ref true in
       while !continue_ do
         incr iterations;
         if !iterations > loop_bound then raise (Stop Diverged);
-        List.iter (exec st) body;
-        continue_ := truthy (as_int (eval st cond))
+        exec_block st body;
+        continue_ := truthy (eval_int st cond)
       done
-  | Ast.Reject reason -> raise (Stop (Rejected reason))
-  | Ast.Return e -> raise (Stop (Returned (as_int (eval st e))))
+  | Reject reason -> raise (Stop (Rejected reason))
+  | Return e -> raise (Stop (Returned (eval_int st e)))
+
+and exec_block st = function
+  | [] -> ()
+  | s :: rest ->
+      exec st s;
+      exec_block st rest
+
+(* ---- a run --------------------------------------------------------- *)
 
 (* Gather every buffer declaration (C reserves stack slots at function
    entry regardless of where the declaration appears). *)
@@ -175,29 +256,29 @@ let rec buffer_decls ~size_of stmts =
        | Ast.Strncpy _ | Ast.Recv_into _ | Ast.Reject _ | Ast.Return _ -> [])
     stmts
 
+let param_name = function Ast.Int_param p | Ast.Str_param p -> p
+
 let run ?(arrays = []) ?(socket = "") (f : Ast.func) ~args =
   let proc = Machine.Process.create () in
   Machine.Process.register_function proc "caller";
+  let mem = Machine.Process.mem proc in
   let array_layout =
     List.map
       (fun (name, count) -> (name, (Machine.Process.alloc_global proc name (4 * count), count)))
       arrays
   in
   let stack = Machine.Process.stack proc in
-  let param_env = Hashtbl.create 8 in
-  (try
-     List.iter2
-       (fun param arg ->
-          match param with
-          | Ast.Int_param p | Ast.Str_param p -> Hashtbl.replace param_env p arg)
-       f.Ast.params args
-   with Invalid_argument _ -> ());
+  let sc = { slots = Hashtbl.create 16; buffers = Hashtbl.create 4; arrays = array_layout } in
+  let param_slots = List.map (fun p -> slot sc (param_name p)) f.Ast.params in
+  (* A dynamic buffer's size sees only the parameters (as many as the
+     arguments cover) and no buffers: a probe state over the slots
+     resolved so far. *)
   let size_of e =
-    let probe =
-      { proc; vars = param_env; arrays = []; buffers = Hashtbl.create 1;
-        socket = Osmodel.Socket.of_string "" }
-    in
-    match eval probe e with
+    let e = resolve_expr { sc with buffers = Hashtbl.create 1 } e in
+    let vars = Array.make (Hashtbl.length sc.slots) None in
+    (try List.iter2 (fun i arg -> vars.(i) <- Some arg) param_slots args
+     with Invalid_argument _ -> ());
+    match eval { mem; vars; socket = Osmodel.Socket.of_string "" } e with
     | Vint n -> n
     | Vstr _ -> 0
     | exception Stop _ -> 0
@@ -205,28 +286,24 @@ let run ?(arrays = []) ?(socket = "") (f : Ast.func) ~args =
   let bufs = buffer_decls ~size_of f.Ast.body in
   Machine.Stack.push_frame stack ~func:f.Ast.name
     ~ret_addr:(Machine.Process.code_addr proc "caller")
-    ~locals:(List.map (fun (name, n) -> (name, n)) bufs);
-  let buffers = Hashtbl.create 4 in
+    ~locals:bufs;
   List.iter
-    (fun (name, n) -> Hashtbl.replace buffers name (Machine.Stack.local_addr stack name, n))
+    (fun (name, n) -> Hashtbl.replace sc.buffers name (Machine.Stack.local_addr stack name, n))
     bufs;
-  let vars = Hashtbl.create 8 in
+  let body = resolve_block sc f.Ast.body in
+  let vars = Array.make (Hashtbl.length sc.slots) None in
   (try
      List.iter2
-       (fun param arg ->
+       (fun (param, i) arg ->
           match param, arg with
-          | Ast.Int_param p, Vint _ -> Hashtbl.replace vars p arg
-          | Ast.Str_param p, Vstr _ -> Hashtbl.replace vars p arg
+          | Ast.Int_param _, Vint _ | Ast.Str_param _, Vstr _ -> vars.(i) <- Some arg
           | Ast.Int_param p, _ | Ast.Str_param p, _ ->
               invalid_arg ("Interp.run: argument type mismatch for " ^ p))
-       f.Ast.params args
+       (List.combine f.Ast.params param_slots)
+       args
    with Invalid_argument _ ->
      invalid_arg "Interp.run: wrong number or types of arguments");
-  let st =
-    { proc; vars; arrays = array_layout; buffers;
-      socket = Osmodel.Socket.of_string socket }
-  in
-  match List.iter (exec st) f.Ast.body with
+  match exec_block { mem; vars; socket = Osmodel.Socket.of_string socket } body with
   | () -> Returned 0
   | exception Stop outcome -> outcome
 

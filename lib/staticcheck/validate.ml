@@ -50,6 +50,11 @@ let replay_arrays ~(config : Absint.config) f =
          else Some (a, default_array_count))
       (stored_arrays f)
 
+(* A candidate that hits a simulated condition (an injected socket
+   reset, an exhausted stack) is no witness, and the next one is
+   tried.  Any other exception is a bug in the interpreter or the
+   machine and propagates: swallowing it would quietly turn a
+   confirmed finding into [Unconfirmed]. *)
 let replay ~config (f : A.func) (raw : Absint.raw) : Finding.status =
   let arrays = replay_arrays ~config f in
   let try_one (args, socket) =
@@ -57,7 +62,7 @@ let replay ~config (f : A.func) (raw : Absint.raw) : Finding.status =
     | outcome when Finding.outcome_matches raw.Absint.kind outcome ->
         Some { Finding.args; socket; arrays; outcome }
     | _ -> None
-    | exception _ -> None
+    | exception Fault.Condition.Simulated _ -> None
   in
   match List.find_map try_one (Concretize.candidates f raw) with
   | Some w -> Finding.Confirmed w

@@ -111,6 +111,65 @@ let test_catalog_runs_to_typed_outcomes () =
   Alcotest.(check bool) "catalog has >= 5 fault plans" true
     (List.length Fault.Catalog.all >= 5)
 
+(* ---- event rendering --------------------------------------------- *)
+
+(* Events are typed values rendered on demand.  Their text is what the
+   injector formatted eagerly when events were strings, byte for byte:
+   traces carry it, and every expected string below is one the
+   string-recording injector produced. *)
+let test_event_text () =
+  let module E = Fault.Event in
+  List.iter
+    (fun (event, text) ->
+       Alcotest.(check string) text text (Format.asprintf "%a" E.pp event);
+       Alcotest.(check string) ("seam and detail of " ^ text) text
+         (Printf.sprintf "[%s] %s" (E.seam event) (E.detail event)))
+    [ (E.Heap_denied { requested = 8192; allocation = 2 },
+       "[machine.heap] malloc(8192) denied (allocation #2)");
+      (E.Connection_reset { recv = 3 }, "[osmodel.socket] connection reset at recv #3");
+      (E.Recv_clamped { requested = 1024; chunk = 7 },
+       "[osmodel.socket] recv(1024) clamped to 7 bytes");
+      (E.Fs_denied { path = "/tmp/x y" }, "[osmodel.filesystem] EACCES on /tmp/x y");
+      (E.Bit_flipped { bit = 4; byte = 218; len = 300 },
+       "[machine.memory] bit 4 of byte 218 flipped in a 300-byte write");
+      (E.Store_torn { write = 2; kept = 50; len = 80 },
+       "[store.io] write #2 torn: 50 of 80 bytes reach disk");
+      (E.Store_flipped { write = 4; bit = 3; byte = 90 },
+       "[store.io] write #4 corrupted: bit 3 of byte 90 flipped");
+      (E.Store_failed { write = 2; errno = "ENOSPC" }, "[store.io] write #2 failed: ENOSPC");
+      (E.Store_crashed { write = 1 },
+       "[store.io] write #1 crashed before rename (orphan tmp)");
+      (E.Step_dropped { step = 0; steps = 5; schedule = 2 },
+       "[osmodel.scheduler] step 0 of 5 dropped (schedule #2)");
+      (E.Step_duplicated { step = 2; steps = 6; schedule = 3 },
+       "[osmodel.scheduler] step 2 of 6 duplicated (schedule #3)") ]
+
+(* The injector stores repeats of one event as a run; the list it
+   hands back must still hold every event, in firing order. *)
+let test_events_keep_order () =
+  let module E = Fault.Event in
+  let plan =
+    plan_with "clamp-and-deny"
+      { Fault.Plan.none with
+        seed = 7; recv_max_chunk = Some 7; heap_fail_percent = Some 100 }
+  in
+  let recv n = ignore (Fault.Hooks.recv_request ~requested:n ~consumed:0) in
+  let (), events =
+    Fault.Hooks.run plan (fun () ->
+        recv 1024;
+        recv 1024;
+        ignore (Fault.Hooks.heap_alloc_fails ~requested:64);
+        recv 1024;
+        recv 8;
+        recv 8)
+  in
+  let clamp n = E.Recv_clamped { requested = n; chunk = 7 } in
+  Alcotest.(check (list string)) "every event, oldest first"
+    (List.map (Format.asprintf "%a" E.pp)
+       [ clamp 1024; clamp 1024; E.Heap_denied { requested = 64; allocation = 1 };
+         clamp 1024; clamp 8; clamp 8 ])
+    (List.map (Format.asprintf "%a" E.pp) events)
+
 (* ---- resilience assertions --------------------------------------- *)
 
 let test_benign_plans_survive () =
@@ -283,6 +342,8 @@ let () =
          Alcotest.test_case "fs fault is typed" `Quick test_fs_fault_typed;
          Alcotest.test_case "catalog runs to typed outcomes" `Quick
            test_catalog_runs_to_typed_outcomes;
+         Alcotest.test_case "event text unchanged" `Quick test_event_text;
+         Alcotest.test_case "events keep firing order" `Quick test_events_keep_order;
          QCheck_alcotest.to_alcotest prop_same_seed_same_verdict ]);
       ("matrix",
        [ Alcotest.test_case "no-op plan transparent" `Quick

@@ -521,6 +521,152 @@ let test_parser_error_reports_line () =
   | Ok _ -> Alcotest.fail "parsed garbage"
   | Error e -> Alcotest.(check int) "line 2" 2 e.Minic.Parser.line
 
+(* ---- the slot-resolved interpreter against the tree-walking oracle -- *)
+
+(* What one run shows the outside world: its outcome or escaping
+   exception, the fault events its injector recorded, and the socket
+   effects it announced, each tagged with how many faults had fired
+   before it — so the interleaving of [Effect.record] and the fault
+   seams is pinned, not just the two streams apart.  The effect stream
+   of a spinning loop runs to 100k entries, so it is folded into a
+   count and a hash. *)
+type observation = {
+  result : (I.outcome, string) result;
+  events : Fault.Event.t list;
+  effects : int * int;
+}
+
+let m_injected = Obs.Metrics.counter "fault.injected"
+
+let observe plan run =
+  let effects = ref (0, 0) in
+  let injected_before = Obs.Metrics.counter_value m_injected in
+  let note e =
+    let n, h = !effects in
+    let fired = Obs.Metrics.counter_value m_injected - injected_before in
+    effects := (n + 1, Hashtbl.hash (h, e, fired))
+  in
+  let result, events =
+    Fault.Hooks.run plan (fun () ->
+        Osmodel.Effect.with_observer note (fun () ->
+            match run () with
+            | outcome -> Ok outcome
+            | exception e -> Error (Printexc.to_string e)))
+  in
+  { result; events; effects = !effects }
+
+(* Each side runs under its own fresh injector, once per catalog plan. *)
+let agrees ?arrays ?socket f ~args =
+  List.for_all
+    (fun plan ->
+       let got = observe plan (fun () -> I.run ?arrays ?socket f ~args) in
+       let want = observe plan (fun () -> Interp_ref.run ?arrays ?socket f ~args) in
+       got = want
+       || QCheck.Test.fail_reportf "plan %s: %s vs oracle %s (%d vs %d events)"
+            plan.Fault.Plan.name
+            (match got.result with Ok o -> Format.asprintf "%a" I.pp_outcome o | Error e -> e)
+            (match want.result with Ok o -> Format.asprintf "%a" I.pp_outcome o | Error e -> e)
+            (List.length got.events) (List.length want.events))
+    Fault.Catalog.all
+
+(* Arguments drawn per parameter, mostly of the declared type; one in
+   twenty is of the wrong type and one in ten argument lists has the
+   wrong length, so the argument-checking paths are compared too. *)
+let random_args r (f : A.func) =
+  let module R = Vulndb.Prng in
+  let int () =
+    if R.below r 3 = 0 then R.in_range r ~low:(-300) ~high:3000
+    else R.pick r [| -800; -1; 0; 1; 7; 100; 101; 200; 1024; 4096; 4294966272 |]
+  in
+  let str () =
+    if R.below r 2 = 0 then string_of_int (int ()) else String.make (R.below r 300) 'a'
+  in
+  let arg p =
+    match p, R.below r 20 = 0 with
+    | A.Int_param _, false | A.Str_param _, true -> I.Vint (int ())
+    | A.Str_param _, false | A.Int_param _, true -> I.Vstr (str ())
+  in
+  let args = List.map arg f.A.params in
+  match R.below r 20, args with
+  | 0, _ -> I.Vint 0 :: args
+  | 1, _ :: rest -> rest
+  | _ -> args
+
+(* Progen's arbitrary ASTs mostly stop early (an unbound variable, a
+   type error), so each case also runs a guard-then-sink program from
+   [Progen.vuln], whose runs return, reject, overflow and store out of
+   bounds. *)
+let prop_interp_matches_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"minic: slot-resolved interpreter = tree-walking oracle under every fault plan"
+    QCheck.(triple (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 2100))
+    (fun (seed, arg_seed, socket_len) ->
+       let r = Vulndb.Prng.create ~seed:arg_seed in
+       let socket = String.init socket_len (fun i -> Char.chr (97 + ((i + seed) mod 26))) in
+       let f = Staticcheck.Progen.func ~seed in
+       let arrays =
+         List.filter
+           (fun _ -> Vulndb.Prng.below r 3 > 0)
+           [ ("tab", 16); ("slots", 4); ("vect", 101) ]
+       in
+       let v = Staticcheck.Progen.vuln ~seed in
+       agrees ~arrays ~socket f ~args:(random_args r f)
+       && agrees ~arrays:v.Staticcheck.Progen.arrays ~socket v.Staticcheck.Progen.f
+            ~args:(random_args r v.Staticcheck.Progen.f))
+
+(* Evaluation order, pinned where random programs rarely reach it: with
+   two failing operands, the rejection names the one evaluated first. *)
+let test_interp_evaluation_order () =
+  let unbound v = A.Var v in
+  let cases =
+    [ ("recv buffer, then offset",
+       [ A.Recv_into ("rc", "nobuf", unbound "off", unbound "max") ],
+       "no such buffer nobuf");
+      ("recv offset, then max",
+       [ A.Decl_buf ("buf", 8); A.Recv_into ("rc", "buf", unbound "off", unbound "max") ],
+       "unbound variable off");
+      ("store array, then index",
+       [ A.Array_store ("noarr", unbound "i", unbound "v") ], "no such array noarr");
+      ("store index, then value",
+       [ A.Array_store ("tab", unbound "i", unbound "v") ], "unbound variable i");
+      ("strcpy source, then buffer", [ A.Strcpy ("nobuf", unbound "src") ],
+       "unbound variable src");
+      ("strncpy source, then bound",
+       [ A.Decl_buf ("buf", 8); A.Strncpy ("buf", unbound "src", unbound "n") ],
+       "unbound variable src");
+      ("left operand, then right",
+       [ A.Return (A.Bin (A.Add, unbound "l", unbound "r")) ], "unbound variable l") ]
+  in
+  List.iter
+    (fun (label, body, want) ->
+       let f = { A.name = "t"; params = []; body } in
+       let arrays = [ ("tab", 4) ] in
+       List.iter
+         (fun (side, outcome) ->
+            match outcome with
+            | I.Rejected got -> Alcotest.(check string) (side ^ ": " ^ label) want got
+            | o -> Alcotest.failf "%s: %s: %a" side label I.pp_outcome o)
+         [ ("interp", I.run ~arrays f ~args:[]);
+           ("oracle", Interp_ref.run ~arrays f ~args:[]) ])
+    cases
+
+(* The lint corpus under every replay candidate the validator would
+   try: the NULL HTTPD loops here are the ones the short-recv plan
+   spins to the loop bound. *)
+let test_interp_oracle_corpus () =
+  List.iter
+    (fun (label, f) ->
+       let config = Staticcheck.Linter.corpus_config in
+       List.iter
+         (fun raw ->
+            List.iter
+              (fun (args, socket) ->
+                 if not (agrees ~arrays:Minic.Corpus.tTflag_arrays ~socket f ~args) then
+                   Alcotest.failf "%s diverges from the oracle" label)
+              (Staticcheck.Concretize.candidates f raw))
+         (Staticcheck.Absint.analyze ~config f).Staticcheck.Absint.raws)
+    C.all
+
 let () =
   Alcotest.run "minic"
     [ ("ast", [ Alcotest.test_case "pretty printing" `Quick test_pp_renders_cish_source ]);
@@ -570,6 +716,11 @@ let () =
            test_parser_program_multiple_funcs;
          Alcotest.test_case "error line" `Quick test_parser_error_reports_line;
          QCheck_alcotest.to_alcotest prop_progen_roundtrips ]);
+      ("oracle",
+       [ Alcotest.test_case "evaluation order" `Quick test_interp_evaluation_order;
+         Alcotest.test_case "lint corpus x candidates x plans" `Quick
+           test_interp_oracle_corpus;
+         QCheck_alcotest.to_alcotest prop_interp_matches_oracle ]);
       ("automatic tool",
        [ Alcotest.test_case "verify refutes/verifies" `Quick
            test_auto_verify_refutes_vulnerable;

@@ -45,12 +45,32 @@ let prop_trace_identity =
 let test_chaos_trace_identity () =
   (* the flagship contract: a traced chaos run serializes identically
      at every -j *)
-  let render () =
+  let traced () =
     Obs.Trace.start ();
     let report = Chaos.run ~plans:Fault.Catalog.smoke ~seed:7 () in
-    let jsonl = Obs.Trace.to_jsonl (Obs.Trace.drain ()) in
-    (Chaos.to_json report, jsonl)
+    (report, Obs.Trace.drain ())
   in
+  let render () =
+    let report, events = traced () in
+    (Chaos.to_json report, Obs.Trace.to_jsonl events)
+  in
+  (* fault events are typed values whose text is rendered only for a
+     live trace; the fault.injected instants still carry it as args *)
+  let injected =
+    List.filter
+      (fun (e : Obs.Trace.event) -> e.name = "fault.injected")
+      (snd (with_jobs 1 traced))
+  in
+  Alcotest.(check bool) "fault.injected instants traced" true (injected <> []);
+  List.iter
+    (fun (e : Obs.Trace.event) ->
+       Alcotest.(check (list string)) "fault.injected args" [ "seam"; "detail" ]
+         (List.map fst e.args))
+    injected;
+  Alcotest.(check (list (pair string string)))
+    "first injected fault"
+    [ ("seam", "osmodel.socket"); ("detail", "recv(1024) clamped to 7 bytes") ]
+    (List.hd injected).args;
   let reference = with_jobs 1 render in
   List.iter
     (fun j ->

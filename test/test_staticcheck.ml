@@ -128,6 +128,30 @@ let test_confirmed_witnesses_replay () =
     rows;
   Alcotest.(check bool) "some witnesses replayed" true (!replayed >= 5)
 
+(* Replay swallows simulated conditions only.  A crash inside the
+   interpreter (here, an effect observer raising mid-recv) must escape
+   instead of quietly turning a confirmable finding into Unconfirmed. *)
+let read_post_data_replay () =
+  match (Ai.analyze ~config:L.corpus_config C.read_post_data_buggy).Ai.raws with
+  | [] -> Alcotest.fail "no finding on ReadPOSTData"
+  | raw :: _ ->
+      Staticcheck.Validate.replay ~config:L.corpus_config C.read_post_data_buggy raw
+
+let test_replay_propagates_crashes () =
+  match Osmodel.Effect.with_observer (fun _ -> raise Exit) read_post_data_replay with
+  | F.Confirmed _ | F.Unconfirmed -> Alcotest.fail "replay swallowed the crash"
+  | exception Exit -> ()
+
+let test_replay_skips_simulated () =
+  (* every recv resets: no candidate is a witness, and none crashes *)
+  let reset_now =
+    { Fault.Plan.none with
+      name = "reset-now"; benign = false; socket_reset_after = Some 0 }
+  in
+  match Fault.Hooks.with_plan reset_now read_post_data_replay with
+  | F.Unconfirmed -> ()
+  | F.Confirmed _ -> Alcotest.fail "confirmed through a reset connection"
+
 let test_sweep_meets_expectations () =
   let rows = L.corpus_sweep () in
   List.iter
@@ -244,7 +268,11 @@ let () =
       ("validation",
        [ Alcotest.test_case "witnesses replay" `Quick
            test_confirmed_witnesses_replay;
-         Alcotest.test_case "pFSM corroborates" `Quick test_pfsm_corroboration ]);
+         Alcotest.test_case "pFSM corroborates" `Quick test_pfsm_corroboration;
+         Alcotest.test_case "replay propagates crashes" `Quick
+           test_replay_propagates_crashes;
+         Alcotest.test_case "replay skips simulated faults" `Quick
+           test_replay_skips_simulated ]);
       ("sweep",
        [ Alcotest.test_case "expectations met" `Quick test_sweep_meets_expectations;
          Alcotest.test_case "json renders" `Quick test_json_renders;
