@@ -1285,7 +1285,19 @@ let perf_bench () =
   record ~section:"PERF" "interp-100k-iter-ms" (it *. 1000.);
   record ~section:"PERF" "interp-100k-iter-bytes" ibytes;
   record ~section:"PERF" "fault-record-100k-ms" (rt *. 1000.);
-  record ~section:"PERF" "fault-record-100k-bytes" rbytes
+  record ~section:"PERF" "fault-record-100k-bytes" rbytes;
+
+  (* process images: the exploit driver's rows run 23 simulations, each
+     on a fresh Machine.Process.  A memory page is too large for the
+     minor heap, so the bytes are Obs.Allocs.bytes_of's, which count
+     direct major-heap allocation; minor_bytes_of would not see the
+     images at all. *)
+  let (rows, xbytes), xt = best_of Exploit.Driver.all_rows in
+  Format.printf "exploit driver, all rows (23 process images):@.";
+  Format.printf "  paged memory          %8.2f ms  %12.0f bytes  (%d rows, ok=%b)@."
+    (xt *. 1000.) xbytes (List.length rows) (Exploit.Driver.rows_ok rows);
+  record ~section:"PERF" "process-image-ms" (xt *. 1000.);
+  record ~section:"PERF" "process-image-bytes" xbytes
 
 (* ================= CORPUS: streaming generation + classification == *)
 

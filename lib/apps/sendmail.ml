@@ -137,8 +137,9 @@ let model t =
          else P.Cmp (P.Le, P.Self, P.Lit (Pfsm.Value.Int 100)))
   in
   (* capture the scalar base address, not [t]: closing over [t] would
-     drag the whole process image (1 MB of Machine.Memory) into the
-     model's marshal image and the analysis-memo digest *)
+     drag the whole process image (Machine.Memory's page table and
+     every page written so far) into the model's marshal image and the
+     analysis-memo digest *)
   let tTvect = t.tTvect in
   let write_effect env =
     let x = Pfsm.Env.get_int "x" env and i = Pfsm.Env.get_int "i" env in

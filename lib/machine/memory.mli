@@ -1,10 +1,17 @@
-(** Flat byte-addressable memory for the simulated process.
+(** Byte-addressable memory for the simulated process.
 
     A memory is a single contiguous range [\[base, base + size)].
     Reads and writes outside the range raise {!Fault}, modelling a
     segmentation fault.  32-bit values are stored little-endian in
     two's complement, matching the x86 processes the paper's exploits
-    target. *)
+    target.
+
+    The range is stored as 4 KiB pages.  Every page starts as one
+    zero page shared by all memories and never written, and gets its
+    own storage on its first write, so a memory costs the pages its
+    program writes rather than its size.  An access that faults
+    allocates nothing, and neither does a zero {!fill} of a page that
+    was never written. *)
 
 type t
 
@@ -44,8 +51,9 @@ val write_string : t -> Addr.t -> string -> unit
 val fill : t -> Addr.t -> int -> char -> unit
 
 val read_cstring : t -> Addr.t -> string
-(** Bytes from [a] up to (not including) the first NUL; faults if the
-    string runs off the end of memory. *)
+(** Bytes from [a] up to (not including) the first NUL.  Faults (a
+    [Read] at [a]) when [a] lies below the base, and at the limit when
+    the string runs off the end of memory. *)
 
 val snapshot : t -> string
 (** Copy of the whole memory contents, for corruption diffing. *)

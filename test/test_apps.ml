@@ -428,6 +428,14 @@ let test_statd_leak () =
   | O.Info_leak _ -> ()
   | other -> Alcotest.fail (O.to_string other)
 
+let test_statd_percent_s_below_base () =
+  (* "%s" pops the word "%s\000\000" = 0x7325, below the image base:
+     a segfault, where it used to escape as Invalid_argument *)
+  let app = Apps.Rpc_statd.setup () in
+  match Apps.Rpc_statd.notify app ~filename:"%s" with
+  | O.Crash _ -> ()
+  | other -> Alcotest.fail (O.to_string other)
+
 let test_statd_stackguard_powerless () =
   (* The %n write skips the canary entirely -- StackGuard does not
      stop format-string return-address rewrites (Section 6). *)
@@ -564,6 +572,7 @@ let () =
        [ Alcotest.test_case "%n exploit" `Quick test_statd_exploit;
          Alcotest.test_case "benign" `Quick test_statd_benign;
          Alcotest.test_case "%x leak" `Quick test_statd_leak;
+         Alcotest.test_case "%s below base" `Quick test_statd_percent_s_below_base;
          Alcotest.test_case "StackGuard powerless" `Quick
            test_statd_stackguard_powerless;
          Alcotest.test_case "protections" `Quick test_statd_protections;

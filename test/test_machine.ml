@@ -70,6 +70,192 @@ let test_mem_diff_ranges () =
     [ (base + 10, 2); (base + 100, 1) ]
     (M.diff_ranges ~before ~after ~base)
 
+let test_mem_cstring_below_base () =
+  (* Used to escape as Bytes.get's Invalid_argument. *)
+  let m = mem () in
+  match M.read_cstring m (base - 1) with
+  | s -> Alcotest.failf "read %S below base" s
+  | exception M.Fault { addr; kind = M.Read } ->
+      Alcotest.(check int) "fault address" (base - 1) addr
+  | exception M.Fault { kind = M.Write; _ } -> Alcotest.fail "write fault"
+
+(* Pages are 4 KiB: none is allocated by an access that faults or by
+   a zero fill of pages never written, and a write allocates its page. *)
+let test_mem_pages_on_write () =
+  let page = 4096 in
+  let m = M.create ~base ~size:(64 * page) in
+  let long = String.make (3 * page) 'x' in
+  let allocated f = snd (Obs.Allocs.bytes_of f) in
+  let faulting () =
+    List.iter
+      (fun f -> try f () with M.Fault _ -> ())
+      [ (fun () -> M.write_string m (M.limit m - page) long);
+        (fun () -> M.fill m (base - 1) (2 * page) 'y');
+        (fun () -> M.write_i32 m (M.limit m - 2) 7) ]
+  in
+  Alcotest.(check bool) "faulting writes allocate no page" true
+    (allocated faulting < float_of_int page);
+  Alcotest.(check bool) "zero fill allocates no page" true
+    (allocated (fun () -> M.fill m base (64 * page) '\000') < float_of_int page);
+  Alcotest.(check bool) "a write allocates its page" true
+    (allocated (fun () -> M.write_u8 m (base + (5 * page)) 1) >= float_of_int page);
+  Alcotest.(check string) "zero fill of a written page zeroes it" "\000\000"
+    (M.fill m (base + (5 * page)) 2 '\000';
+     M.read_bytes m (base + (5 * page)) 2)
+
+(* ---- paged memory against the flat oracle ------------------------ *)
+
+type op =
+  | Read_u8 of int
+  | Write_u8 of int * int
+  | Read_i32 of int
+  | Write_i32 of int * int
+  | Read_bytes of int * int
+  | Write_string of int * string
+  | Fill of int * int * char
+  | Read_cstring of int
+  | In_bounds of int * int
+
+type result =
+  | Unit
+  | Int of int
+  | Str of string
+  | Bool of bool
+  | Faulted of { addr : int; write : bool }
+  | Raised of string
+
+module Replay (X : sig
+    type t
+    type fault_kind = Read | Write
+    exception Fault of { addr : int; kind : fault_kind }
+    val create : base:int -> size:int -> t
+    val read_u8 : t -> int -> int
+    val write_u8 : t -> int -> int -> unit
+    val read_i32 : t -> int -> int
+    val write_i32 : t -> int -> int -> unit
+    val read_bytes : t -> int -> int -> string
+    val write_string : t -> int -> string -> unit
+    val fill : t -> int -> int -> char -> unit
+    val read_cstring : t -> int -> string
+    val in_bounds : t -> int -> int -> bool
+    val snapshot : t -> string
+  end) =
+struct
+  let step m op =
+    match
+      (match op with
+       | Read_u8 a -> Int (X.read_u8 m a)
+       | Write_u8 (a, v) -> X.write_u8 m a v; Unit
+       | Read_i32 a -> Int (X.read_i32 m a)
+       | Write_i32 (a, v) -> X.write_i32 m a v; Unit
+       | Read_bytes (a, n) -> Str (X.read_bytes m a n)
+       | Write_string (a, s) -> X.write_string m a s; Unit
+       | Fill (a, n, c) -> X.fill m a n c; Unit
+       | Read_cstring a -> Str (X.read_cstring m a)
+       | In_bounds (a, n) -> Bool (X.in_bounds m a n))
+    with
+    | r -> r
+    | exception X.Fault { addr; kind } -> Faulted { addr; write = kind = X.Write }
+    | exception e -> Raised (Printexc.to_string e)
+
+  (* Every result, then the final contents. *)
+  let run ~base ~size ops =
+    let m = X.create ~base ~size in
+    let results = List.map (step m) ops in
+    (results, X.snapshot m)
+end
+
+module Paged = Replay (M)
+module Flat = Replay (Memory_ref)
+
+let page = 4096
+
+(* Random (base, size) pairs, mostly with a partial last page, and
+   operations aimed at page boundaries (counted from [base]), at the
+   limit and below [base], with negative, small and multi-page
+   lengths.  Long fills of a non-NUL byte give [read_cstring] strings
+   that run across pages and off the end. *)
+let gen_case =
+  let open QCheck.Gen in
+  let* base = int_range 0 0x30000 in
+  let* pages = int_range 0 3 in
+  let* rest = frequency [ (9, int_range 1 (page - 1)); (1, return 0) ] in
+  let size = max 1 ((pages * page) + rest) in
+  let limit = base + size in
+  let addr =
+    frequency
+      [ (4, int_range base (limit - 1));
+        (4,
+         map2 (fun k d -> base + (k * page) + d) (int_range 1 (pages + 1))
+           (int_range (-5) 4));
+        (2, map (fun d -> limit + d) (int_range (-6) 2));
+        (1, map (fun d -> base - d) (int_range 1 8)) ]
+  in
+  let len =
+    frequency
+      [ (1, int_range (-3) (-1)); (5, int_range 0 12); (2, int_range 0 ((2 * page) + 100)) ]
+  in
+  let byte = frequency [ (1, return '\000'); (4, oneofl [ 'A'; 'b'; '\xff' ]) ] in
+  let str =
+    string_size ~gen:byte
+      (frequency [ (5, int_range 0 12); (1, int_range 0 ((2 * page) + 100)) ])
+  in
+  let i32 =
+    oneof
+      [ int_range (-0x1_0000_0000) 0x1_0000_0000;
+        oneofl [ 0; -1; 0x7fff_ffff; -0x8000_0000; max_int; min_int ] ]
+  in
+  let op =
+    frequency
+      [ (2, map (fun a -> Read_u8 a) addr);
+        (2, map2 (fun a v -> Write_u8 (a, v)) addr (int_range (-300) 300));
+        (3, map (fun a -> Read_i32 a) addr);
+        (3, map2 (fun a v -> Write_i32 (a, v)) addr i32);
+        (2, map2 (fun a n -> Read_bytes (a, n)) addr len);
+        (3, map2 (fun a s -> Write_string (a, s)) addr str);
+        (2, map3 (fun a n c -> Fill (a, n, c)) addr len (oneofl [ '\000'; 'A' ]));
+        (3, map (fun a -> Read_cstring a) addr);
+        (1, map2 (fun a n -> In_bounds (a, n)) addr len) ]
+  in
+  let* ops = list_size (int_range 1 40) op in
+  return (base, size, ops)
+
+let print_case (base, size, ops) =
+  let s x = if String.length x <= 16 then Printf.sprintf "%S" x
+    else Printf.sprintf "<%d bytes>" (String.length x) in
+  let op = function
+    | Read_u8 a -> Printf.sprintf "read_u8 %#x" a
+    | Write_u8 (a, v) -> Printf.sprintf "write_u8 %#x %d" a v
+    | Read_i32 a -> Printf.sprintf "read_i32 %#x" a
+    | Write_i32 (a, v) -> Printf.sprintf "write_i32 %#x %d" a v
+    | Read_bytes (a, n) -> Printf.sprintf "read_bytes %#x %d" a n
+    | Write_string (a, x) -> Printf.sprintf "write_string %#x %s" a (s x)
+    | Fill (a, n, c) -> Printf.sprintf "fill %#x %d %C" a n c
+    | Read_cstring a -> Printf.sprintf "read_cstring %#x" a
+    | In_bounds (a, n) -> Printf.sprintf "in_bounds %#x %d" a n
+  in
+  Printf.sprintf "base %#x size %d:\n  %s" base size (String.concat "\n  " (List.map op ops))
+
+(* With a bitflip plan installed each side runs under its own injector
+   of the same plan, so [write_string]'s mangling draws the same flips
+   and records the same events on both. *)
+let prop_paged_matches_flat ~plan =
+  let name =
+    match plan with
+    | None -> "memory: paged = flat oracle"
+    | Some p -> "memory: paged = flat oracle under " ^ p.Fault.Plan.name
+  in
+  QCheck.Test.make ~name ~count:300 (QCheck.make ~print:print_case gen_case)
+    (fun (base, size, ops) ->
+       let under f =
+         match plan with
+         | None -> (f (), [])
+         | Some p -> Fault.Hooks.run p f
+       in
+       let paged = under (fun () -> Paged.run ~base ~size ops) in
+       let flat = under (fun () -> Flat.run ~base ~size ops) in
+       paged = flat)
+
 (* ---- heap -------------------------------------------------------- *)
 
 let heap ?(safe_unlink = false) () =
@@ -398,7 +584,12 @@ let () =
          Alcotest.test_case "faults" `Quick test_mem_faults;
          Alcotest.test_case "cstring" `Quick test_mem_cstring;
          Alcotest.test_case "fill/read" `Quick test_mem_fill_and_read_bytes;
-         Alcotest.test_case "diff ranges" `Quick test_mem_diff_ranges ]);
+         Alcotest.test_case "diff ranges" `Quick test_mem_diff_ranges;
+         Alcotest.test_case "cstring below base" `Quick test_mem_cstring_below_base;
+         Alcotest.test_case "pages on write" `Quick test_mem_pages_on_write;
+         QCheck_alcotest.to_alcotest (prop_paged_matches_flat ~plan:None);
+         QCheck_alcotest.to_alcotest
+           (prop_paged_matches_flat ~plan:(Some Fault.Catalog.bitflip)) ]);
       ("heap",
        [ Alcotest.test_case "malloc distinct" `Quick test_heap_malloc_distinct;
          Alcotest.test_case "usable size" `Quick test_heap_usable_size;
