@@ -575,8 +575,12 @@ let serve jobs store capacity fuel max_line seed trace metrics =
   with_store store @@ fun () ->
   with_obs ?trace ?metrics @@ fun () ->
   let config =
-    { Serve.Server.default_config with
-      Serve.Server.capacity; default_fuel = fuel; max_line; seed }
+    let d = Serve.Server.default_config in
+    { d with
+      Serve.Server.capacity;
+      default_fuel = fuel;
+      max_line;
+      retry = { d.Serve.Server.retry with Resilience.Retry.seed } }
   in
   let stop = ref false in
   let in_read = ref false in

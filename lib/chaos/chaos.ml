@@ -251,7 +251,10 @@ let soak ?(seed = default_seed) ?(plans = Fault.Catalog.all)
       (fun (plan : Fault.Plan.t) ->
          let config =
            { config with
-             Serve.Server.seed = seed lxor Hashtbl.hash plan.Fault.Plan.name }
+             Serve.Server.retry =
+               { config.Serve.Server.retry with
+                 Resilience.Retry.seed =
+                   seed lxor Hashtbl.hash plan.Fault.Plan.name } }
          in
          let (lines, summary), events =
            Fault.Hooks.run plan (fun () ->

@@ -247,12 +247,14 @@ let interleaving_count_n lengths =
   in
   go 1 0 lengths
 
-let por_pruned = lazy (Obs.Metrics.counter "scheduler.por_pruned")
+(* registered on first use, by name: a shared [lazy] is not safe to
+   force from two domains at once *)
+let por_pruned () = Obs.Metrics.counter "scheduler.por_pruned"
 
 let record_pruning ~independent ~total exploration =
   (if independent <> None && total < max_int
       && Fault.Budget.complete exploration.coverage then
-     Obs.Metrics.add (Lazy.force por_pruned) (total - exploration.explored));
+     Obs.Metrics.add (por_pruned ()) (total - exploration.explored));
   exploration
 
 let explore ?budget ?independent ~init ~a ~b ~check () =

@@ -23,12 +23,16 @@ type report = {
   instances : instance_report list;
 }
 
-let findings_counter = lazy (Obs.Metrics.counter "racecheck.findings")
+(* Both counters register on first use, so they only appear in the
+   snapshots of runs that race-check.  Looking them up by name is
+   domain-safe; a shared [lazy] forced by two pool workers at once
+   raises [CamlinternalLazy.Undefined]. *)
+let findings_counter () = Obs.Metrics.counter "racecheck.findings"
 
 (* Shares the scheduler's counter by name (registration is
    idempotent): schedules the replay did not have to run relative to
    full enumeration of the instance. *)
-let por_pruned = lazy (Obs.Metrics.counter "scheduler.por_pruned")
+let por_pruned () = Obs.Metrics.counter "scheduler.por_pruned"
 
 (* Position of the (unique) label in a schedule. *)
 let pos label sched =
@@ -60,7 +64,7 @@ let confirm ~budget ~por ~init ~procs ~corrupted (f : Finding.t) =
       ~check:corrupted ~total schedules
   in
   if por && total < max_int && Fault.Budget.complete r.Sched.coverage then
-    Obs.Metrics.add (Lazy.force por_pruned) (total - r.Sched.explored);
+    Obs.Metrics.add (por_pruned ()) (total - r.Sched.explored);
   match r.Sched.verdicts with
   | v :: _ ->
       Confirmed { schedule = v.Sched.schedule; explored = r.Sched.explored }
@@ -73,7 +77,7 @@ let analyze_instance ~budget ~por inst =
   match inst with
   | Instances.I { name; app; init; procs; corrupted } ->
       let findings = Detect.scan ~app procs in
-      Obs.Metrics.add (Lazy.force findings_counter) (List.length findings);
+      Obs.Metrics.add (findings_counter ()) (List.length findings);
       let total = Sched.interleaving_count_n (List.map List.length procs) in
       let findings =
         List.map

@@ -97,6 +97,26 @@ let failure t ~now ~cause =
       if t.consecutive >= t.config.failure_threshold then trip t ~now ~cause
   | Open -> ()
 
+type table = {
+  table_config : config;
+  by_resource : (string, t) Hashtbl.t;
+  mutable rev_created : t list;
+}
+
+let table config =
+  { table_config = config; by_resource = Hashtbl.create 7; rev_created = [] }
+
+let lookup tbl resource =
+  match Hashtbl.find_opt tbl.by_resource resource with
+  | Some b -> b
+  | None ->
+      let b = create ~config:tbl.table_config ~resource () in
+      Hashtbl.add tbl.by_resource resource b;
+      tbl.rev_created <- b :: tbl.rev_created;
+      b
+
+let all tbl = List.rev tbl.rev_created
+
 let pp ppf t =
   Format.fprintf ppf "%s: %s (%d consecutive failure%s, %d trip%s)" t.resource
     (state_to_string t.state) t.consecutive

@@ -60,6 +60,18 @@ val success : t -> unit
 val failure : t -> now:int -> cause:string -> unit
 (** The admitted call failed. *)
 
+type table
+(** One breaker per resource, created on first use. *)
+
+val table : config -> table
+
+val lookup : table -> string -> t
+(** The resource's breaker, created (with the table's config) the
+    first time the resource is looked up. *)
+
+val all : table -> t list
+(** Every breaker of the table, in creation order. *)
+
 val state_to_string : state -> string
 
 val pp : Format.formatter -> t -> unit

@@ -1,48 +1,17 @@
-type source = Unlimited | Fuel of int ref | Budget of Fault.Budget.t
+type t = { mutable left : int; mutable used : int; mutable dead : bool }
 
-type t = {
-  source : source;
-  parent : t option;
-  mutable used : int;
-  mutable dead : bool;
-}
+let of_fuel n = { left = max 0 n; used = 0; dead = false }
 
-let make ?parent source = { source; parent; used = 0; dead = false }
-
-let unlimited () = make Unlimited
-
-let of_fuel n = make (Fuel (ref (max 0 n)))
-
-let of_budget b = make (Budget b)
-
-let sub t ~fuel = make ~parent:t (Fuel (ref (max 0 fuel)))
-
-let rec spend t n =
+let spend t n =
   if n < 0 then invalid_arg "Deadline.spend: negative amount";
-  if t.dead then false
+  if t.dead || t.left < n then begin
+    t.dead <- true;
+    false
+  end
   else begin
-    let granted_here =
-      match t.source with
-      | Unlimited -> true
-      | Fuel left ->
-          if !left >= n then begin left := !left - n; true end else false
-      | Budget b ->
-          let rec take k = k = 0 || (Fault.Budget.take b && take (k - 1)) in
-          take n
-    in
-    let granted =
-      granted_here
-      && (match t.parent with None -> true | Some p -> spend p n)
-    in
-    if granted then t.used <- t.used + n else t.dead <- true;
-    granted
+    t.left <- t.left - n;
+    t.used <- t.used + n;
+    true
   end
 
 let used t = t.used
-
-let exceeded t = t.dead
-
-let remaining t =
-  match t.source with
-  | Unlimited | Budget _ -> None
-  | Fuel left -> Some !left

@@ -1,35 +1,17 @@
 (** Fuel-based execution deadlines.
 
-    A deadline is spent in virtual-time units by the supervision
-    layer (one unit per attempt plus every backoff delay).  Deadlines
-    nest — spending a child spends its parent — and compose with
-    {!Fault.Budget}: a deadline built over a budget forwards every
-    unit to [Budget.take], so one fuel pool can bound both the
-    exhaustive analyses and a supervised sweep.  Exhaustion is
-    sticky: once a spend is refused the deadline stays exceeded. *)
+    A deadline is a fixed pool of virtual-time units that a piece of
+    work spends as it goes; the serve handlers run each request
+    attempt inside one.  Exhaustion is sticky: once a spend is
+    refused the deadline refuses every later one. *)
 
 type t
-
-val unlimited : unit -> t
 
 val of_fuel : int -> t
 (** Negative fuel clamps to zero. *)
 
-val of_budget : Fault.Budget.t -> t
-(** Each spent unit performs one [Fault.Budget.take]. *)
-
-val sub : t -> fuel:int -> t
-(** A child deadline: spending it spends [t] too; whichever runs out
-    first refuses. *)
-
 val spend : t -> int -> bool
-(** Spend [n] units ([n >= 0]).  [false] means the deadline (or an
-    ancestor, or the underlying budget) is exceeded and the work
-    should not proceed. *)
+(** Spend [n] units ([n >= 0]).  [false] means the deadline is
+    exceeded and the work should not proceed. *)
 
 val used : t -> int
-
-val exceeded : t -> bool
-
-val remaining : t -> int option
-(** [None] when unlimited or budget-backed. *)

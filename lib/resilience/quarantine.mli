@@ -1,8 +1,8 @@
 (** Isolation for failing work items.
 
     When a supervised sweep cannot complete an item — its retries are
-    exhausted, its resource's circuit breaker is open, the run's
-    deadline passed, or the work crashed outright — the item is not
+    exhausted, its resource's circuit breaker is open, or the work was
+    rejected or crashed outright — the item is not
     dropped and does not abort the sweep: it is {e quarantined}
     together with a typed {!cause}, and the sweep continues.  The
     quarantine store keeps the original item payload so a later run
@@ -15,7 +15,8 @@ type cause =
       (** the item's resource tripped its circuit breaker and did not
           recover within the item's retry schedule *)
   | Deadline_exceeded of { spent : int }
-      (** the sweep's fuel deadline passed before the item could run *)
+      (** a serve request spent its per-attempt fuel before it
+          finished *)
   | Rejected of { detail : string }
       (** the work item itself is invalid (e.g. a malformed CSV row) —
           retrying cannot help *)

@@ -25,22 +25,61 @@ let delays policy =
        if jitter <= 0 then capped
        else capped - jitter + Vulndb.Prng.below prng ((2 * jitter) + 1))
 
+type failure =
+  | Refused of { resource : string }
+  | Failed of Fault.Condition.t
+  | Rejected of string
+  | Crashed of string
+
+type action = Backoff of int | Quarantine of Quarantine.cause
+
+let step policy ~attempt failure =
+  let retry_or cause =
+    if attempt >= policy.max_attempts then Quarantine cause
+    else Backoff (List.nth (delays policy) (attempt - 1))
+  in
+  match failure with
+  | Refused { resource } -> retry_or (Quarantine.Breaker_open { resource })
+  | Failed last ->
+      retry_or (Quarantine.Retries_exhausted { attempts = attempt; last })
+  | Rejected detail -> Quarantine (Quarantine.Rejected { detail })
+  | Crashed exn -> Quarantine (Quarantine.Crash { exn })
+
 let m_attempts = Obs.Metrics.counter "resilience.retry.attempts"
 
-let run ?(on_backoff = fun ~attempt:_ ~delay:_ -> ()) policy work =
-  let schedule = Array.of_list (delays policy) in
+(* A failed attempt as [step] sees it, and as the breaker records it. *)
+let failure_of_exn = function
+  | Fault.Condition.Simulated c -> (Failed c, Fault.Condition.to_string c)
+  | Quarantine.Reject detail -> (Rejected detail, detail)
+  | e ->
+      let exn = Printexc.to_string e in
+      (Crashed exn, exn)
+
+let run ~breaker ~clock ~on_backoff policy work =
   let rec attempt k =
-    match work () with
-    | v -> Ok (v, k)
-    | exception Fault.Condition.Simulated c ->
-        if k < policy.max_attempts then begin
-          Obs.Metrics.incr m_attempts;
-          on_backoff ~attempt:k ~delay:schedule.(k - 1);
-          attempt (k + 1)
-        end
-        else Error (Quarantine.Retries_exhausted { attempts = k; last = c }, k)
-    | exception Quarantine.Reject detail ->
-        Error (Quarantine.Rejected { detail }, k)
-    | exception e -> Error (Quarantine.Crash { exn = Printexc.to_string e }, k)
+    incr clock;
+    let result =
+      if not (Breaker.acquire breaker ~now:!clock) then
+        Error (Refused { resource = Breaker.resource breaker })
+      else
+        match work ~attempt:k with
+        | v ->
+            Breaker.success breaker;
+            Ok v
+        | exception e ->
+            let failure, cause = failure_of_exn e in
+            Breaker.failure breaker ~now:!clock ~cause;
+            Error failure
+    in
+    match result with
+    | Ok v -> Ok (v, k)
+    | Error failure -> (
+        match step policy ~attempt:k failure with
+        | Quarantine cause -> Error (cause, k)
+        | Backoff delay ->
+            clock := !clock + delay;
+            Obs.Metrics.incr m_attempts;
+            on_backoff ~attempt:k ~delay;
+            attempt (k + 1))
   in
   attempt 1

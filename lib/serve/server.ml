@@ -6,7 +6,6 @@ type config = {
   max_line : int;
   retry : R.Retry.policy;
   breaker : R.Breaker.config;
-  seed : int;
 }
 
 let default_config =
@@ -14,8 +13,7 @@ let default_config =
     default_fuel = 64;
     max_line = 65536;
     retry = R.Retry.default;
-    breaker = R.Breaker.default_config;
-    seed = 20021130 }
+    breaker = R.Breaker.default_config }
 
 type summary = {
   admitted : int;
@@ -132,17 +130,7 @@ let run ?(config = default_config) ~emit source =
   let rev_latencies = ref [] in
   let waited = ref 0 in
   let rev_report_items = ref [] in
-  let breakers : (string, R.Breaker.t) Hashtbl.t = Hashtbl.create 7 in
-  let rev_breakers = ref [] in
-  let breaker_of cls =
-    match Hashtbl.find_opt breakers cls with
-    | Some b -> b
-    | None ->
-        let b = R.Breaker.create ~config:config.breaker ~resource:cls () in
-        Hashtbl.add breakers cls b;
-        rev_breakers := b :: !rev_breakers;
-        b
-  in
+  let breakers = R.Breaker.table config.breaker in
   let respond (r : Protocol.response) =
     (match r.Protocol.status with
      | Protocol.Ok_ -> incr completed
@@ -157,11 +145,6 @@ let run ?(config = default_config) ~emit source =
       { R.Run_report.id; outcome; from_checkpoint = false }
       :: !rev_report_items
   in
-  (* One batch: the supervision replay of everything currently queued.
-     Mirrors Resilience.Supervisor: speculate first attempts on the
-     pool (at every -j, skipped under an active injector), then replay
-     sequentially in admission order, owning the clock, the breakers
-     and the response stream. *)
   let invoke_handler (p : pending) ~attempt =
     Obs.Span.with_span ~cat:"serve"
       ~args:
@@ -170,139 +153,98 @@ let run ?(config = default_config) ~emit source =
       ("request:" ^ p.p_id)
       (fun () -> Handlers.run ~attempt ~fuel:p.p_fuel p.p_work)
   in
+  (* One request through the retry engine.  [speculated] yields the
+     batch's speculative first attempt, or runs it. *)
+  let supervise (p : pending) ~speculated =
+    (* per-request degradation accounting: a request counts (once)
+       when any of its attempts hit store corruption or a failed store
+       write — i.e. it completed by recompute rather than by trusting
+       the disk *)
+    let degraded = ref false in
+    let observed_invoke ~attempt =
+      match Store.Handle.get () with
+      | None -> invoke_handler p ~attempt
+      | Some disk ->
+          let before = Store.Disk.stats disk in
+          Fun.protect
+            (fun () -> invoke_handler p ~attempt)
+            ~finally:(fun () ->
+              let after = Store.Disk.stats disk in
+              if
+                (not !degraded)
+                && (after.Store.Disk.corrupt > before.Store.Disk.corrupt
+                   || after.Store.Disk.write_failures
+                      > before.Store.Disk.write_failures)
+              then begin
+                degraded := true;
+                incr store_degraded
+              end)
+    in
+    let work ~attempt =
+      if attempt = 1 then speculated (fun () -> observed_invoke ~attempt)
+      else observed_invoke ~attempt
+    in
+    let on_backoff ~attempt:_ ~delay =
+      waited := !waited + delay;
+      Obs.Span.instant ~cat:"serve"
+        ~args:
+          [ ("id", p.p_id); ("delay", string_of_int delay);
+            ("vt", string_of_int !vt) ]
+        "backoff"
+    in
+    let policy =
+      { config.retry with
+        R.Retry.seed =
+          config.retry.R.Retry.seed lxor Hashtbl.hash (p.p_id, p.p_arrived) }
+    in
+    let breaker = R.Breaker.lookup breakers (Protocol.work_class p.p_work) in
+    match R.Retry.run ~breaker ~clock:vt ~on_backoff policy work with
+    | Ok ((Handlers.Done payload, spent), attempts) ->
+        vt := !vt + spent;
+        let latency = !vt - p.p_arrived in
+        rev_latencies := latency :: !rev_latencies;
+        Obs.Metrics.incr m_completed;
+        Obs.Metrics.observe m_latency latency;
+        report_item p.p_id (R.Run_report.Completed { attempts });
+        respond (Protocol.ok ~id:p.p_id ~latency ~attempts payload)
+    | Ok ((Handlers.Deadline_hit { spent }, _), attempts) ->
+        (* the request's own fuel ran out: not an environmental
+           failure, so the breaker saw a success — a typed deadline
+           response, terminally *)
+        vt := !vt + spent;
+        report_item p.p_id
+          (R.Run_report.Quarantined
+             { attempts; cause = R.Quarantine.Deadline_exceeded { spent } });
+        respond (Protocol.deadline ~id:p.p_id ~attempts ~spent ())
+    | Error (cause, attempts) ->
+        report_item p.p_id (R.Run_report.Quarantined { attempts; cause });
+        respond
+          (match cause with
+           | R.Quarantine.Rejected { detail } ->
+               Protocol.error ~id:p.p_id ~attempts detail
+           | _ -> Protocol.quarantined ~id:p.p_id ~attempts cause)
+  in
+  (* One batch: speculate first attempts on the pool, then replay the
+     requests sequentially in admission order, owning the clock, the
+     breakers and the response stream.  Speculation is skipped under an
+     active injector (event stream must stay sequential) and under an
+     ambient store: sequential-only attempts give every request a
+     well-defined store delta, which is what makes [store_degraded] and
+     the summary's store stats deterministic at every -j. *)
   let process_batch () =
     match Admission.drain queue with
     | [] -> ()
     | items ->
         incr batches;
         Obs.Metrics.incr m_batches;
-        let speculated : (int, _ result) Hashtbl.t = Hashtbl.create 16 in
-        (* speculation is skipped under an active injector (event
-           stream must stay sequential) and under an ambient store:
-           sequential-only attempts give every request a well-defined
-           store delta, which is what makes [store_degraded] and the
-           summary's store stats deterministic at every -j *)
-        if Fault.Hooks.current () = None && Store.Handle.get () = None then
-          Par.map_list ~label:"serve.batch"
-            (fun (i, p) ->
-               let r =
-                 match invoke_handler p ~attempt:1 with
-                 | v -> Ok v
-                 | exception e -> Error e
-               in
-               (i, r))
-            (List.mapi (fun i p -> (i, p)) items)
-          |> List.iter (fun (i, r) -> Hashtbl.replace speculated i r);
-        List.iteri
-          (fun i (p : pending) ->
-             (* per-request degradation accounting: a request counts
-                (once) when any of its attempts hit store corruption
-                or a failed store write — i.e. it completed by
-                recompute rather than by trusting the disk *)
-             let degraded = ref false in
-             let observed_invoke ~attempt =
-               match Store.Handle.get () with
-               | None -> invoke_handler p ~attempt
-               | Some disk ->
-                   let before = Store.Disk.stats disk in
-                   Fun.protect
-                     (fun () -> invoke_handler p ~attempt)
-                     ~finally:(fun () ->
-                       let after = Store.Disk.stats disk in
-                       if
-                         (not !degraded)
-                         && (after.Store.Disk.corrupt > before.Store.Disk.corrupt
-                            || after.Store.Disk.write_failures
-                               > before.Store.Disk.write_failures)
-                       then begin
-                         degraded := true;
-                         incr store_degraded
-                       end)
-             in
-             let invoke ~attempt =
-               if attempt = 1 then
-                 match Hashtbl.find_opt speculated i with
-                 | Some r -> (
-                     Hashtbl.remove speculated i;
-                     match r with Ok v -> v | Error e -> raise e)
-                 | None -> observed_invoke ~attempt
-               else observed_invoke ~attempt
-             in
-             let cls = Protocol.work_class p.p_work in
-             let breaker = breaker_of cls in
-             let schedule =
-               Array.of_list
-                 (R.Retry.delays
-                    { config.retry with
-                      R.Retry.seed =
-                        config.seed lxor Hashtbl.hash (p.p_id, p.p_arrived) })
-             in
-             let quarantine ~attempts cause =
-               report_item p.p_id (R.Run_report.Quarantined { attempts; cause });
-               respond (Protocol.quarantined ~id:p.p_id ~attempts cause)
-             in
-             (* out of retries (or the class breaker never recovered):
-                quarantine with [cause]; else back off and re-attempt *)
-             let rec retry_or k cause =
-               if k >= config.retry.R.Retry.max_attempts then
-                 quarantine ~attempts:k cause
-               else begin
-                 let d = schedule.(k - 1) in
-                 vt := !vt + d;
-                 waited := !waited + d;
-                 Obs.Span.instant ~cat:"serve"
-                   ~args:
-                     [ ("id", p.p_id); ("delay", string_of_int d);
-                       ("vt", string_of_int !vt) ]
-                   "backoff";
-                 attempt (k + 1)
-               end
-             and attempt k =
-               incr vt;
-               if not (R.Breaker.acquire breaker ~now:!vt) then
-                 retry_or k (R.Quarantine.Breaker_open { resource = cls })
-               else
-                 match invoke ~attempt:k with
-                 | Handlers.Done payload, spent ->
-                     vt := !vt + spent;
-                     R.Breaker.success breaker;
-                     let latency = !vt - p.p_arrived in
-                     rev_latencies := latency :: !rev_latencies;
-                     Obs.Metrics.incr m_completed;
-                     Obs.Metrics.observe m_latency latency;
-                     report_item p.p_id (R.Run_report.Completed { attempts = k });
-                     respond (Protocol.ok ~id:p.p_id ~latency ~attempts:k payload)
-                 | Handlers.Deadline_hit { spent }, _ ->
-                     (* the request's own fuel ran out: not an
-                        environmental failure, so the breaker does not
-                        trip — a typed deadline response, terminally *)
-                     vt := !vt + spent;
-                     R.Breaker.success breaker;
-                     report_item p.p_id
-                       (R.Run_report.Quarantined
-                          { attempts = k;
-                            cause = R.Quarantine.Deadline_exceeded { spent } });
-                     respond
-                       (Protocol.deadline ~id:p.p_id ~attempts:k ~spent ())
-                 | exception Fault.Condition.Simulated c ->
-                     R.Breaker.failure breaker ~now:!vt
-                       ~cause:(Fault.Condition.to_string c);
-                     retry_or k
-                       (R.Quarantine.Retries_exhausted { attempts = k; last = c })
-                 | exception R.Quarantine.Reject detail ->
-                     R.Breaker.failure breaker ~now:!vt ~cause:detail;
-                     report_item p.p_id
-                       (R.Run_report.Quarantined
-                          { attempts = k;
-                            cause = R.Quarantine.Rejected { detail } });
-                     respond (Protocol.error ~id:p.p_id ~attempts:k detail)
-                 | exception e ->
-                     let exn = Printexc.to_string e in
-                     R.Breaker.failure breaker ~now:!vt ~cause:exn;
-                     quarantine ~attempts:k (R.Quarantine.Crash { exn })
-             in
-             attempt 1)
-          items
+        let speculated =
+          if Fault.Hooks.current () = None && Store.Handle.get () = None then
+            R.Supervisor.speculate ~label:"serve.batch"
+              (fun p -> invoke_handler p ~attempt:1)
+              (List.mapi (fun i p -> (i, p)) items)
+          else fun _ fallback -> fallback ()
+        in
+        List.iteri (fun i p -> supervise p ~speculated:(speculated i)) items
   in
   (* A line that never became an admitted request: typed error
      response, counted as [malformed], NOT as a request error — the
@@ -330,11 +272,11 @@ let run ?(config = default_config) ~emit source =
         ("batches", Json.Int !batches);
         ("breakers",
          Json.Obj
-           (List.rev_map
+           (List.map
               (fun b ->
                  (R.Breaker.resource b,
                   Json.Str (R.Breaker.state_to_string (R.Breaker.state b))))
-              !rev_breakers)) ]
+              (R.Breaker.all breakers))) ]
     in
     let body =
       if not full then counters
@@ -425,7 +367,7 @@ let run ?(config = default_config) ~emit source =
       latencies = List.rev !rev_latencies;
       report =
         { R.Run_report.label = "serve";
-          seed = config.seed;
+          seed = config.retry.R.Retry.seed;
           items = List.rev !rev_report_items;
           waited = !waited;
           journal_skipped = 0 };

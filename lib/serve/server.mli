@@ -4,14 +4,15 @@
     into the bounded {!Admission} queue (shedding with typed
     [overloaded] once it is full), and at every scheduling tick — a
     [flush] request, [shutdown], end of input — drains the queue as
-    one batch onto the {!Par} domain pool.  Each batch request is
-    supervised with the {!Resilience} primitives: a deterministic
-    per-request retry schedule, a circuit {!Resilience.Breaker} per
-    request {e class} (so a poison class trips without taking down
-    the others — breakers persist across batches), per-attempt
-    {!Resilience.Deadline} fuel inside the handler, and typed
-    quarantine for crashes.  Every admitted request gets exactly one
-    terminal response.
+    one batch.  Each request of a batch runs through the supervision
+    engine, {!Resilience.Retry.run}: a deterministic per-request retry
+    schedule, behind a circuit {!Resilience.Breaker} per request
+    {e class} (so a poison class trips without taking down the others
+    — breakers persist across batches).  This module keeps only what
+    is particular to serving: per-attempt {!Resilience.Deadline} fuel
+    inside the handler, latency, the typed response for each verdict,
+    and store-degraded accounting.  Every admitted request gets
+    exactly one terminal response.
 
     Time is virtual: the clock ticks once per work-request arrival,
     once per attempt, by each backoff delay and by the fuel a
@@ -20,27 +21,28 @@
     whole response stream (summary line included) is byte-identical
     at every [-j].
 
-    Parallelism follows the {!Resilience.Supervisor} speculation
-    pattern: first attempts of a batch run on the pool up front, the
-    sequential replay consumes each result at the request's first
-    invocation and owns every piece of shared state (clock,
-    breakers, responses).  Speculation runs at every [-j] so traced
-    spans land at the same coordinates for every job count; it is
-    skipped under an active fault injector (its PRNG stream is
-    order-sensitive). *)
+    Parallelism is {!Resilience.Supervisor.speculate}: first attempts
+    of a batch run on the {!Par} pool up front, keyed by queue
+    position, and the sequential replay consumes each result at the
+    request's first attempt and owns every piece of shared state
+    (clock, breakers, responses).  Speculation runs at every [-j] so
+    traced spans land at the same coordinates for every job count; it
+    is skipped under an active fault injector (its PRNG stream is
+    order-sensitive) and under a store. *)
 
 type config = {
   capacity : int;      (** admission queue bound *)
   default_fuel : int;  (** per-attempt handler fuel unless the request says *)
   max_line : int;      (** oversized request lines get a typed error *)
   retry : Resilience.Retry.policy;
+      (** its seed is mixed with each request's id and arrival time
+          into that request's retry schedule *)
   breaker : Resilience.Breaker.config;
-  seed : int;          (** mixed into each request's retry schedule *)
 }
 
 val default_config : config
 (** capacity 16, fuel 64, max_line 65536, the default retry/breaker
-    policies, seed 20021130. *)
+    policies (retry seed 20021130). *)
 
 type summary = {
   admitted : int;

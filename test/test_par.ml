@@ -177,6 +177,29 @@ let test_parallel_supervision () =
   Alcotest.(check (list (pair string int))) "same results"
     sequential.Resilience.Supervisor.results parallel.Resilience.Supervisor.results
 
+let test_speculation_keyed_by_position () =
+  (* two items share an id: each must still get its own speculated
+     result, exactly as the sequential run computes them *)
+  let items () =
+    [ { Resilience.Supervisor.id = "x"; resource = "a"; work = (fun () -> 1) };
+      { Resilience.Supervisor.id = "x"; resource = "b"; work = (fun () -> 2) } ]
+  in
+  let render (o : _ Resilience.Supervisor.outcome) =
+    String.concat "; "
+      (List.map (fun (id, v) -> Printf.sprintf "%s=%d" id v)
+         o.Resilience.Supervisor.results)
+  in
+  let sequential = render (Resilience.Supervisor.run (items ())) in
+  Alcotest.(check string) "sequential" "x=1; x=2" sequential;
+  List.iter
+    (fun j ->
+       Alcotest.(check string)
+         (Printf.sprintf "parallel at -j %d" j)
+         sequential
+         (with_jobs j (fun () ->
+              render (Resilience.Supervisor.run ~parallel:true (items ())))))
+    job_counts
+
 let test_parallel_supervision_with_faults () =
   (* under an active fault plan the serial guard must keep the
      injector's event stream intact: parallel and sequential sweeps
@@ -272,7 +295,9 @@ let () =
        [ Alcotest.test_case "parallel speculation: exactly once" `Quick
            test_parallel_supervision;
          Alcotest.test_case "serial guard under fault plan" `Quick
-           test_parallel_supervision_with_faults ]);
+           test_parallel_supervision_with_faults;
+         Alcotest.test_case "speculation keyed by position" `Quick
+           test_speculation_keyed_by_position ]);
       ("memo",
        [ Alcotest.test_case "hashcons" `Quick test_hashcons;
          Alcotest.test_case "compute-once counters" `Quick test_memo;

@@ -27,21 +27,99 @@ let test_delays () =
          (delay >= 0 && delay <= 400 + 100))
     d
 
-let test_retry_run () =
-  (match R.Retry.run R.Retry.default (transient 2) with
-   | Ok ("done", 3) -> ()
-   | Ok (_, k) -> Alcotest.failf "succeeded after %d attempts, wanted 3" k
-   | Error _ -> Alcotest.fail "transient failure not retried");
-  (match R.Retry.run R.Retry.default (transient 99) with
-   | Error (R.Quarantine.Retries_exhausted { attempts = 5; last = _ }, 5) -> ()
-   | Error _ -> Alcotest.fail "wrong exhaustion cause"
-   | Ok _ -> Alcotest.fail "exhausted work succeeded");
-  (match R.Retry.run R.Retry.default (fun () -> raise (R.Quarantine.Reject "bad")) with
-   | Error (R.Quarantine.Rejected { detail = "bad" }, 1) -> ()
-   | _ -> Alcotest.fail "Reject not terminal on first attempt");
-  match R.Retry.run R.Retry.default (fun () -> failwith "boom") with
-  | Error (R.Quarantine.Crash _, 1) -> ()
-  | _ -> Alcotest.fail "crash not terminal"
+let action_to_string = function
+  | R.Retry.Backoff d -> Printf.sprintf "backoff %d" d
+  | R.Retry.Quarantine c -> "quarantine: " ^ R.Quarantine.cause_to_string c
+
+let test_step_table () =
+  (* every failure kind, below and at the attempt cap, for a policy
+     that allows one attempt and for the default five *)
+  let one = { R.Retry.default with max_attempts = 1 }
+  and five = R.Retry.default in
+  let d = Array.of_list (R.Retry.delays five) in
+  let c = Fault.Condition.Heap_exhausted { requested = 64 } in
+  let refused = R.Retry.Refused { resource = "db" }
+  and failed = R.Retry.Failed c
+  and rejected = R.Retry.Rejected "bad"
+  and crashed = R.Retry.Crashed "boom" in
+  let backoff k = R.Retry.Backoff d.(k - 1) in
+  let open R.Quarantine in
+  let quarantine cause = R.Retry.Quarantine cause in
+  let breaker_open = quarantine (Breaker_open { resource = "db" }) in
+  let exhausted attempts =
+    quarantine (Retries_exhausted { attempts; last = c })
+  in
+  let reject = quarantine (Rejected { detail = "bad" }) in
+  let crash = quarantine (Crash { exn = "boom" }) in
+  List.iter
+    (fun (name, policy, attempt, failure, expected) ->
+       Alcotest.(check string) name (action_to_string expected)
+         (action_to_string (R.Retry.step policy ~attempt failure)))
+    [ ("refused, 1 < 5", five, 1, refused, backoff 1);
+      ("refused, 4 < 5", five, 4, refused, backoff 4);
+      ("refused, 5 = 5", five, 5, refused, breaker_open);
+      ("refused, 1 = 1", one, 1, refused, breaker_open);
+      ("failed, 1 < 5", five, 1, failed, backoff 1);
+      ("failed, 4 < 5", five, 4, failed, backoff 4);
+      ("failed, 5 = 5", five, 5, failed, exhausted 5);
+      ("failed, 1 = 1", one, 1, failed, exhausted 1);
+      ("rejected, 1 < 5", five, 1, rejected, reject);
+      ("rejected, 5 = 5", five, 5, rejected, reject);
+      ("rejected, 1 = 1", one, 1, rejected, reject);
+      ("crashed, 1 < 5", five, 1, crashed, crash);
+      ("crashed, 5 = 5", five, 5, crashed, crash);
+      ("crashed, 1 = 1", one, 1, crashed, crash) ]
+
+let prop_run_bounded =
+  let open QCheck in
+  (* items share one breaker; each item's work follows its own script
+     of attempt results (then succeeds) *)
+  let result = oneofl [ `Ok; `Fault; `Reject; `Crash ] in
+  let items =
+    list_of_size (Gen.int_range 1 8) (list_of_size (Gen.int_range 0 8) result)
+  in
+  Test.make ~name:"retry: run is bounded, one verdict, exact clock" ~count:300
+    (quad (int_range 1 6) (int_range 1 4) (int_range 0 300) items)
+    (fun (max_attempts, failure_threshold, cooldown, items) ->
+       let policy = { R.Retry.default with max_attempts } in
+       let breaker =
+         R.Breaker.create ~config:{ R.Breaker.failure_threshold; cooldown }
+           ~resource:"r" ()
+       in
+       let clock = ref 0 in
+       let verdicts =
+         List.map
+           (fun script ->
+              let script = ref script and before = !clock and waited = ref 0 in
+              let calls = ref 0 in
+              let work ~attempt:_ =
+                incr calls;
+                match !script with
+                | [] -> "done"
+                | r :: rest -> (
+                    script := rest;
+                    match r with
+                    | `Ok -> "done"
+                    | `Fault ->
+                        Fault.Condition.fail
+                          (Fault.Condition.Fs_denied { path = "x" })
+                    | `Reject -> raise (R.Quarantine.Reject "bad")
+                    | `Crash -> failwith "bug")
+              in
+              let on_backoff ~attempt:_ ~delay = waited := !waited + delay in
+              let verdict =
+                R.Retry.run ~breaker ~clock ~on_backoff policy work
+              in
+              let attempts = match verdict with Ok (_, k) | Error (_, k) -> k in
+              (attempts, !calls, !clock - before - !waited))
+           items
+       in
+       List.length verdicts = List.length items
+       && List.for_all
+            (fun (attempts, calls, ticks) ->
+               1 <= attempts && attempts <= max_attempts && calls <= attempts
+               && ticks = attempts)
+            verdicts)
 
 let prop_same_seed_same_schedule =
   let open QCheck in
@@ -117,22 +195,9 @@ let test_deadline () =
   let d = R.Deadline.of_fuel 10 in
   Alcotest.(check bool) "grant within fuel" true (R.Deadline.spend d 4);
   Alcotest.(check int) "used" 4 (R.Deadline.used d);
-  Alcotest.(check (option int)) "remaining" (Some 6) (R.Deadline.remaining d);
   Alcotest.(check bool) "refuse beyond fuel" false (R.Deadline.spend d 7);
   Alcotest.(check bool) "exhaustion is sticky" false (R.Deadline.spend d 1);
-  Alcotest.(check bool) "exceeded" true (R.Deadline.exceeded d);
-  (* child spends the parent; parent exhaustion refuses the child *)
-  let parent = R.Deadline.of_fuel 5 in
-  let child = R.Deadline.sub parent ~fuel:100 in
-  Alcotest.(check bool) "child grant" true (R.Deadline.spend child 3);
-  Alcotest.(check int) "parent charged" 3 (R.Deadline.used parent);
-  Alcotest.(check bool) "parent cap binds child" false (R.Deadline.spend child 3);
-  (* composition with Fault.Budget *)
-  let b = Fault.Budget.of_fuel 2 in
-  let bd = R.Deadline.of_budget b in
-  Alcotest.(check bool) "budget-backed grant" true (R.Deadline.spend bd 2);
-  Alcotest.(check bool) "budget exhausted refuses" false (R.Deadline.spend bd 1);
-  Alcotest.(check int) "budget consumed" 2 (Fault.Budget.used b)
+  Alcotest.(check int) "refusals spend nothing" 4 (R.Deadline.used d)
 
 (* ---- checkpoint --------------------------------------------------- *)
 
@@ -227,19 +292,6 @@ let test_supervisor_outcomes () =
   match R.Quarantine.find out.Sup.quarantined "crash" with
   | Some { R.Quarantine.cause = R.Quarantine.Crash _; attempts = 1; _ } -> ()
   | _ -> Alcotest.fail "crash not quarantined as Crash"
-
-let test_supervisor_deadline () =
-  (* tiny fuel: the first item eats it, the rest are quarantined as
-     Deadline_exceeded rather than silently dropped *)
-  let config = { Sup.default_config with Sup.deadline = Some 1 } in
-  let out =
-    Sup.run ~config [ item "a" (fun () -> 1); item "b" (fun () -> 2) ]
-  in
-  let r = out.Sup.report in
-  Alcotest.(check bool) "no lost items" true (R.Run_report.no_lost ~expected:2 r);
-  match R.Quarantine.find out.Sup.quarantined "b" with
-  | Some { R.Quarantine.cause = R.Quarantine.Deadline_exceeded _; _ } -> ()
-  | _ -> Alcotest.fail "starved item not Deadline_exceeded"
 
 let test_supervisor_breaker_trips () =
   (* one shared resource failing hard: the breaker trips and later
@@ -551,12 +603,13 @@ let () =
   Alcotest.run "resilience"
     [ ("retry",
        [ Alcotest.test_case "schedule shape" `Quick test_delays;
-         Alcotest.test_case "run outcomes" `Quick test_retry_run;
-         QCheck_alcotest.to_alcotest prop_same_seed_same_schedule ]);
+         Alcotest.test_case "step table" `Quick test_step_table;
+         QCheck_alcotest.to_alcotest prop_same_seed_same_schedule;
+         QCheck_alcotest.to_alcotest prop_run_bounded ]);
       ("breaker",
        [ Alcotest.test_case "lifecycle" `Quick test_breaker_lifecycle;
          QCheck_alcotest.to_alcotest prop_breaker_no_open_to_closed ]);
-      ("deadline", [ Alcotest.test_case "fuel and nesting" `Quick test_deadline ]);
+      ("deadline", [ Alcotest.test_case "fuel is spent and sticky" `Quick test_deadline ]);
       ("checkpoint",
        [ Alcotest.test_case "file journal round trip" `Quick test_checkpoint_file;
          Alcotest.test_case "corrupt lines surfaced" `Quick
@@ -566,8 +619,6 @@ let () =
          QCheck_alcotest.to_alcotest prop_torn_journal_resume ]);
       ("supervisor",
        [ Alcotest.test_case "typed outcomes" `Quick test_supervisor_outcomes;
-         Alcotest.test_case "deadline quarantines rest" `Quick
-           test_supervisor_deadline;
          Alcotest.test_case "breaker trips" `Quick test_supervisor_breaker_trips;
          Alcotest.test_case "resume exactly once" `Quick test_resume_exactly_once;
          QCheck_alcotest.to_alcotest prop_resume_exactly_once ]);

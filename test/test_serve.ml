@@ -254,6 +254,30 @@ let test_latency_percentiles () =
   Alcotest.(check int) "p99 of 1..10" 10 (S.percentile 99 [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]);
   Alcotest.(check int) "p1 is the minimum" 1 (S.percentile 1 [ 3; 1; 2 ])
 
+let test_retry_attempts_metric () =
+  (* every serve backoff is a retry attempt: the resilience counter
+     moves by exactly the number of backoff instants in the trace *)
+  let attempts = Obs.Metrics.counter "resilience.retry.attempts" in
+  let before = Obs.Metrics.counter_value attempts in
+  Obs.Trace.start ();
+  let _, s =
+    run_with
+      [ {|{"id":"f1","kind":"boom","mode":"fault","times":2}|};
+        {|{"id":"p1","kind":"boom","mode":"fault","times":9}|};
+        {|{"id":"r1","kind":"boom","mode":"reject"}|};
+        {|{"kind":"shutdown"}|} ]
+  in
+  let backoffs =
+    List.length
+      (List.filter
+         (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = "backoff")
+         (Obs.Trace.drain ()))
+  in
+  Alcotest.(check bool) "accounted" true (S.accounted s);
+  Alcotest.(check bool) "the script backs off" true (backoffs > 0);
+  Alcotest.(check int) "one retry attempt per backoff" backoffs
+    (Obs.Metrics.counter_value attempts - before)
+
 (* ---- the chaos soak ----------------------------------------------- *)
 
 let test_soak_smoke () =
@@ -292,7 +316,9 @@ let () =
          Alcotest.test_case "graceful drain" `Quick test_drain_semantics;
          Alcotest.test_case "byte-identical at every -j" `Quick
            test_job_count_identity;
-         Alcotest.test_case "percentiles" `Quick test_latency_percentiles ]);
+         Alcotest.test_case "percentiles" `Quick test_latency_percentiles;
+         Alcotest.test_case "backoffs count as retry attempts" `Quick
+           test_retry_attempts_metric ]);
       ("soak",
        [ Alcotest.test_case "smoke contract" `Quick test_soak_smoke;
          Alcotest.test_case "stable" `Quick test_soak_stable ]) ]
