@@ -30,47 +30,24 @@ let record ~section:s name v =
   | Some cell -> cell := (name, v) :: !cell
   | None -> metrics := !metrics @ [ (s, ref [ (name, v) ]) ]
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_nan v then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
-
 let write_json path =
-  let sections =
-    List.map
-      (fun (s, cell) ->
-        let fields =
-          List.rev_map
-            (fun (name, v) ->
-              Printf.sprintf "\"%s\": %s" (json_escape name) (json_float v))
-            !cell
-        in
-        Printf.sprintf "    \"%s\": {%s}" (json_escape s)
-          (String.concat ", " fields))
-      !metrics
+  (* integral values print as integers; NaN and infinities as null *)
+  let number v =
+    if Float.is_integer v && Float.abs v < 1e15 then Json.Int (int_of_float v)
+    else Json.Float v
+  in
+  let section (s, cell) =
+    (s, Json.Obj (List.rev_map (fun (name, v) -> (name, number v)) !cell))
   in
   let doc =
-    Printf.sprintf
-      "{\n  \"schema\": \"dfsm-bench/1\",\n  \"smoke\": %b,\n  \"jobs\": %d,\n\
-      \  \"sections\": {\n%s\n  }\n}\n"
-      !smoke (Par.jobs ())
-      (String.concat ",\n" sections)
+    Json.Obj
+      [ ("schema", Json.Str "dfsm-bench/1");
+        ("smoke", Json.Bool !smoke);
+        ("jobs", Json.Int (Par.jobs ()));
+        ("sections", Json.Obj (List.map section !metrics)) ]
   in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc doc);
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (Json.to_string ~layout:Indented doc ^ "\n"));
   Format.printf "@.wrote %s@." path
 
 let wall f =
@@ -114,20 +91,21 @@ let compare_with_baseline path =
       exit 2
   in
   let doc =
-    match Serve.Json.parse text with
+    match Json.parse text with
     | Ok doc -> doc
     | Error e ->
-        Printf.eprintf "bench: baseline %s is not valid JSON: %s\n" path e;
+        Printf.eprintf "bench: baseline %s is not valid JSON: %s\n" path
+          (Json.error_to_string e);
         exit 2
   in
   let num = function
-    | Serve.Json.Int i -> Some (float_of_int i)
-    | Serve.Json.Float f -> Some f
+    | Json.Int i -> Some (float_of_int i)
+    | Json.Float f -> Some f
     | _ -> None
   in
   let base_sections =
-    match Serve.Json.mem "sections" doc with
-    | Some (Serve.Json.Obj secs) -> secs
+    match Json.mem "sections" doc with
+    | Some (Json.Obj secs) -> secs
     | _ -> []
   in
   let current s name =
@@ -140,7 +118,7 @@ let compare_with_baseline path =
   List.iter
     (fun (sec, fields) ->
       match fields with
-      | Serve.Json.Obj fields ->
+      | Json.Obj fields ->
           List.iter
             (fun (name, v) ->
               match num v with
@@ -925,27 +903,27 @@ let serve_bench () =
      flushed in queue-sized waves so nothing is shed *)
   let corpus = [| "tTflag (vulnerable)"; "Log (fixed)"; "Log (vulnerable)" |] in
   let apps = [| "sendmail"; "nullhttpd"; "rwall" |] in
+  let line fields =
+    Json.to_string (Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) fields))
+  in
   let req i =
-    match i mod 4 with
-    | 0 ->
-        Printf.sprintf "{\"id\": \"w%d\", \"kind\": \"lint\", \"target\": %s}" i
-          (Serve.Json.to_string
-             (Serve.Json.Str corpus.(i / 4 mod Array.length corpus)))
-    | 1 ->
-        Printf.sprintf "{\"id\": \"w%d\", \"kind\": \"analyze\", \"app\": \"%s\"}"
-          i apps.(i / 4 mod Array.length apps)
-    | 2 ->
-        Printf.sprintf "{\"id\": \"w%d\", \"kind\": \"exploit\", \"app\": \"%s\"}"
-          i apps.(i / 4 mod Array.length apps)
-    | _ -> Printf.sprintf "{\"id\": \"w%d\", \"kind\": \"lint\", \"target\": \"corpus\"}" i
+    let pick a = a.(i / 4 mod Array.length a) in
+    line
+      (("id", Printf.sprintf "w%d" i)
+       ::
+       (match i mod 4 with
+        | 0 -> [ ("kind", "lint"); ("target", pick corpus) ]
+        | 1 -> [ ("kind", "analyze"); ("app", pick apps) ]
+        | 2 -> [ ("kind", "exploit"); ("app", pick apps) ]
+        | _ -> [ ("kind", "lint"); ("target", "corpus") ]))
   in
   let config = { S.default_config with S.capacity = 8 } in
   let script =
     List.concat_map
       (fun wave ->
-        List.init 8 (fun k -> req ((wave * 8) + k)) @ [ "{\"kind\": \"flush\"}" ])
+        List.init 8 (fun k -> req ((wave * 8) + k)) @ [ line [ ("kind", "flush") ] ])
       (List.init (n_work / 8) Fun.id)
-    @ [ "{\"kind\": \"shutdown\"}" ]
+    @ [ line [ ("kind", "shutdown") ] ]
   in
   ignore (S.run_script ~config script);  (* warm-up outside the timed region *)
   let job_counts = [ 1; 2; 4 ] in

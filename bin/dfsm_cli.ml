@@ -97,7 +97,10 @@ let with_obs ?trace ?metrics k =
     match metrics with
     | None -> ()
     | Some path ->
-        write_file path (Obs.Metrics.to_json (Obs.Metrics.snapshot ()) ^ "\n")
+        write_file path
+          (Json.to_string ~layout:Indented
+             (Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
+           ^ "\n")
   in
   Fun.protect ~finally:finish k
 
@@ -233,15 +236,19 @@ let metrics jobs store json =
   let memo = Pfsm.Analysis.memo_stats () in
   let store_stats = Option.map Store.Disk.stats (Store.Handle.get ()) in
   if json then
-    Printf.printf "{\"coverage\": %s, \"memo\": {\"lookups\": %d, \"hits\": \
-                   %d, \"misses\": %d}%s, \"obs\": %s}\n"
-      (Pfsm.Coverage.to_json coverage)
-      memo.Pfsm.Analysis.lookups memo.Pfsm.Analysis.hits
-      memo.Pfsm.Analysis.misses
-      (match store_stats with
-      | None -> ""
-      | Some s -> ", \"store\": " ^ Store.Disk.stats_to_json s)
-      (Obs.Metrics.to_json snap)
+    print_endline
+      (Json.to_string ~layout:Indented
+         (Json.Obj
+            ([ ("coverage", Pfsm.Coverage.to_json coverage);
+               ("memo",
+                Json.Obj
+                  [ ("lookups", Json.Int memo.Pfsm.Analysis.lookups);
+                    ("hits", Json.Int memo.Pfsm.Analysis.hits);
+                    ("misses", Json.Int memo.Pfsm.Analysis.misses) ]) ]
+             @ (match store_stats with
+                | None -> []
+                | Some s -> [ ("store", Store.Disk.stats_to_json s) ])
+             @ [ ("obs", Obs.Metrics.to_json snap) ])))
   else begin
     let ms = List.map (fun a -> Pfsm.Metrics.of_model (model_of a)) apps in
     Format.printf "%a@." Pfsm.Metrics.pp_table ms;
@@ -377,9 +384,11 @@ let lint jobs store corpus file json arrays resume checkpoint stop_after trace
       let expected = List.length Minic.Corpus.all in
       sweep_finished cp report ~expected;
       if json then
-        Printf.printf "{\"sweep\": %s, \"run\": %s}\n"
-          (Staticcheck.Linter.sweep_to_json rows)
-          (Resilience.Run_report.to_json report)
+        print_endline
+          (Json.to_string
+             (Json.Obj
+                [ ("sweep", Staticcheck.Linter.sweep_to_json rows);
+                  ("run", Resilience.Run_report.to_json report) ]))
       else begin
         Format.printf "%a@." Staticcheck.Linter.pp_sweep rows;
         Format.printf "%a@." Resilience.Run_report.pp report
@@ -390,7 +399,8 @@ let lint jobs store corpus file json arrays resume checkpoint stop_after trace
     end
     else begin
       let rows = Staticcheck.Linter.corpus_sweep () in
-      if json then print_endline (Staticcheck.Linter.sweep_to_json rows)
+      if json then
+        print_endline (Json.to_string (Staticcheck.Linter.sweep_to_json rows))
       else Format.printf "%a@." Staticcheck.Linter.pp_sweep rows;
       gate ~ok:(Staticcheck.Linter.sweep_ok rows)
         "corpus sweep: expectation mismatch"
@@ -412,9 +422,8 @@ let lint jobs store corpus file json arrays resume checkpoint stop_after trace
             let reports = Staticcheck.Linter.lint_program ~config funcs in
             if json then
               print_endline
-                ("[" ^ String.concat ", "
-                         (List.map Staticcheck.Linter.report_to_json reports)
-                 ^ "]")
+                (Json.to_string
+                   (Json.List (List.map Staticcheck.Linter.report_to_json reports)))
             else
               List.iter
                 (fun r -> Format.printf "%a@.@." Staticcheck.Linter.pp_report r)
@@ -633,7 +642,8 @@ let fsck store dir repair json =
         let disk = Store.Disk.open_ ~dir in
         let report = Store.Fsck.scan ~repair disk in
         Store.Disk.close disk;
-        if json then print_endline (Store.Fsck.to_json report)
+        if json then
+          print_endline (Json.to_string ~layout:Indented (Store.Fsck.to_json report))
         else Format.printf "%a@." Store.Fsck.pp report;
         gate
           ~ok:(Store.Fsck.clean report)

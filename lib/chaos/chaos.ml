@@ -159,31 +159,29 @@ let bounded_retries r =
 let ok r = violations r = []
 
 let leg_to_json l =
-  match l.outcome with
-  | Ran report ->
-      Printf.sprintf "{\"name\": \"%s\", \"expected\": %d, \"report\": %s}"
-        l.leg_name l.expected_items (Run_report.to_json report)
-  | Failed { stage; detail } ->
-      Printf.sprintf
-        "{\"name\": \"%s\", \"expected\": %d, \"failed\": {\"stage\": \
-         \"%s\", \"detail\": \"%s\"}}"
-        l.leg_name l.expected_items
-        (Obs.Metrics.json_escape stage)
-        (Obs.Metrics.json_escape detail)
+  let outcome =
+    match l.outcome with
+    | Ran report -> ("report", Run_report.to_json report)
+    | Failed { stage; detail } ->
+        ("failed", Json.(Obj [ ("stage", Str stage); ("detail", Str detail) ]))
+  in
+  Json.(Obj [ ("name", Str l.leg_name); ("expected", Int l.expected_items); outcome ])
 
 let plan_run_to_json pr =
-  Printf.sprintf
-    "{\"plan\": \"%s\", \"benign\": %b, \"events\": %d, \"legs\": [%s]}"
-    pr.plan.Fault.Plan.name pr.plan.Fault.Plan.benign pr.events
-    (String.concat ", " (List.map leg_to_json pr.legs))
+  Json.(
+    Obj
+      [ ("plan", Str pr.plan.Fault.Plan.name); ("benign", Bool pr.plan.Fault.Plan.benign);
+        ("events", Int pr.events); ("legs", List (List.map leg_to_json pr.legs)) ])
 
 let to_json r =
-  Printf.sprintf
-    "{\"seed\": %d, \"retry_max\": %d, \"ok\": %b, \"memo\": {\"lookups\": \
-     %d, \"hits\": %d, \"misses\": %d}, \"plans\": [%s]}"
-    r.seed r.retry_max (ok r) r.memo.Pfsm.Analysis.lookups
-    r.memo.Pfsm.Analysis.hits r.memo.Pfsm.Analysis.misses
-    (String.concat ", " (List.map plan_run_to_json r.runs))
+  let { Pfsm.Analysis.lookups; hits; misses } = r.memo in
+  Json.(
+    to_string
+      (Obj
+         [ ("seed", Int r.seed); ("retry_max", Int r.retry_max); ("ok", Bool (ok r));
+           ("memo",
+            Obj [ ("lookups", Int lookups); ("hits", Int hits); ("misses", Int misses) ]);
+           ("plans", List (List.map plan_run_to_json r.runs)) ]))
 
 let stable ?seed ?plans () =
   to_json (run ?seed ?plans ()) = to_json (run ?seed ?plans ())
@@ -309,19 +307,20 @@ let soak_violations r = List.concat_map (soak_run_violations r) r.soak_runs
 let soak_ok r = soak_violations r = []
 
 let soak_run_to_json sr =
-  Printf.sprintf
-    "{\"plan\": \"%s\", \"benign\": %b, \"events\": %d, \"lines\": %d, \
-     \"summary\": %s}"
-    sr.soak_plan.Fault.Plan.name sr.soak_plan.Fault.Plan.benign sr.soak_events
-    sr.lines_emitted
-    (Serve.Server.summary_to_json sr.summary)
+  Json.(
+    Obj
+      [ ("plan", Str sr.soak_plan.Fault.Plan.name);
+        ("benign", Bool sr.soak_plan.Fault.Plan.benign); ("events", Int sr.soak_events);
+        ("lines", Int sr.lines_emitted);
+        ("summary", Serve.Server.summary_to_json sr.summary) ])
 
 let soak_to_json r =
-  Printf.sprintf
-    "{\"seed\": %d, \"ok\": %b, \"script_lines\": %d, \"work_requests\": %d, \
-     \"plans\": [%s]}"
-    r.soak_seed (soak_ok r) r.script_lines r.work_requests
-    (String.concat ", " (List.map soak_run_to_json r.soak_runs))
+  Json.(
+    to_string
+      (Obj
+         [ ("seed", Int r.soak_seed); ("ok", Bool (soak_ok r));
+           ("script_lines", Int r.script_lines); ("work_requests", Int r.work_requests);
+           ("plans", List (List.map soak_run_to_json r.soak_runs)) ]))
 
 let soak_stable ?seed ?plans () =
   soak_to_json (soak ?seed ?plans ()) = soak_to_json (soak ?seed ?plans ())
@@ -398,19 +397,16 @@ let rec rm_rf path =
    results. *)
 let disk_run_one ~seed:_ plan =
   Obs.Span.with_span ~cat:"chaos" ("disk:" ^ plan.Fault.Plan.name) @@ fun () ->
-  let reference = Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ()) in
+  let sweep () = Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ()) in
+  let reference = sweep () in
   let dir = fresh_store_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let (faulted_jsons, disk_store), events =
     Fault.Hooks.run plan (fun () ->
         let disk = Store.Disk.open_ ~dir in
         Store.Handle.with_store (Some disk) (fun () ->
-            let cold =
-              Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ())
-            in
-            let warm =
-              Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ())
-            in
+            let cold = sweep () in
+            let warm = sweep () in
             ([ cold; warm ], Store.Disk.stats disk)))
   in
   let fsck =
@@ -422,18 +418,16 @@ let disk_run_one ~seed:_ plan =
   let post_disk = Store.Disk.open_ ~dir in
   let post_json, post_repair =
     Store.Handle.with_store (Some post_disk) (fun () ->
-        let j =
-          Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ())
-        in
+        let j = sweep () in
         (j, Store.Disk.stats post_disk))
   in
   { disk_plan = plan;
     disk_events = List.length events;
     disk_store;
-    sweep_matches = List.for_all (String.equal reference) faulted_jsons;
+    sweep_matches = List.for_all (( = ) reference) faulted_jsons;
     fsck;
     post_repair;
-    post_repair_matches = String.equal reference post_json }
+    post_repair_matches = reference = post_json }
 
 let disk ?(seed = default_seed) ?(plans = Fault.Catalog.disk) () =
   { disk_seed = seed; disk_runs = List.map (disk_run_one ~seed) plans }
@@ -455,20 +449,20 @@ let disk_violations r = List.concat_map disk_run_violations r.disk_runs
 let disk_ok r = disk_violations r = []
 
 let disk_run_to_json dr =
-  Printf.sprintf
-    "{\"plan\": \"%s\", \"events\": %d, \"store\": %s, \"sweep_matches\": %b, \
-     \"fsck\": %s, \"post_repair\": %s, \"post_repair_matches\": %b}"
-    dr.disk_plan.Fault.Plan.name dr.disk_events
-    (Store.Disk.stats_to_json dr.disk_store)
-    dr.sweep_matches
-    (Store.Fsck.to_json dr.fsck)
-    (Store.Disk.stats_to_json dr.post_repair)
-    dr.post_repair_matches
+  Json.(
+    Obj
+      [ ("plan", Str dr.disk_plan.Fault.Plan.name); ("events", Int dr.disk_events);
+        ("store", Store.Disk.stats_to_json dr.disk_store);
+        ("sweep_matches", Bool dr.sweep_matches); ("fsck", Store.Fsck.to_json dr.fsck);
+        ("post_repair", Store.Disk.stats_to_json dr.post_repair);
+        ("post_repair_matches", Bool dr.post_repair_matches) ])
 
 let disk_to_json r =
-  Printf.sprintf "{\"seed\": %d, \"ok\": %b, \"plans\": [%s]}" r.disk_seed
-    (disk_ok r)
-    (String.concat ", " (List.map disk_run_to_json r.disk_runs))
+  Json.(
+    to_string
+      (Obj
+         [ ("seed", Int r.disk_seed); ("ok", Bool (disk_ok r));
+           ("plans", List (List.map disk_run_to_json r.disk_runs)) ]))
 
 let pp_disk ppf r =
   Format.fprintf ppf "@[<v>chaos disk: seed %d, %d plan%s@," r.disk_seed

@@ -108,36 +108,21 @@ let pp ppf t =
     (Classifier.category_rows t.confusion)
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"total\": %d,\n" t.total;
-  add "  \"planned\": %d,\n" t.planned;
-  add "  \"chunk\": %d,\n" t.chunk;
-  add "  \"chunks\": %d,\n" t.chunks;
-  add "  \"classified\": %d,\n" t.confusion.Classifier.n;
-  add "  \"accuracy\": %.6f,\n" t.accuracy;
-  add "  \"baseline\": %.6f,\n" t.baseline;
-  add "  \"ok\": %b,\n" (ok t);
-  add "  \"categories\": [\n";
-  let rows = Classifier.category_rows t.confusion in
-  List.iteri
-    (fun i (c, total, correct) ->
-      add "    {\"category\": \"%s\", \"reports\": %d, \"correct\": %d}%s\n"
-        (Obs.Metrics.json_escape (Category.to_string c))
-        total correct
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  add "  ],\n";
-  add "  \"confusion\": [\n";
-  let ncat = Classifier.ncat in
-  for i = 0 to ncat - 1 do
-    Buffer.add_string b "    [";
-    for j = 0 to ncat - 1 do
-      if j > 0 then Buffer.add_string b ", ";
-      add "%d" t.confusion.Classifier.counts.((i * ncat) + j)
-    done;
-    add "]%s\n" (if i = ncat - 1 then "" else ",")
-  done;
-  add "  ]\n}";
-  Buffer.contents b
+  let ncat = Classifier.ncat and counts = t.confusion.Classifier.counts in
+  let category (c, total, correct) =
+    Json.(
+      Obj
+        [ ("category", Str (Category.to_string c)); ("reports", Int total);
+          ("correct", Int correct) ])
+  in
+  let row i = Json.List (List.init ncat (fun j -> Json.Int counts.((i * ncat) + j))) in
+  Json.(
+    to_string ~layout:Indented
+      (Obj
+         [ ("total", Int t.total); ("planned", Int t.planned); ("chunk", Int t.chunk);
+           ("chunks", Int t.chunks); ("classified", Int t.confusion.Classifier.n);
+           ("accuracy", Fixed (6, t.accuracy)); ("baseline", Fixed (6, t.baseline));
+           ("ok", Bool (ok t));
+           ("categories",
+            List (List.map category (Classifier.category_rows t.confusion)));
+           ("confusion", List (List.init ncat row)) ]))

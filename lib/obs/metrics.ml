@@ -164,42 +164,16 @@ let per_domain_counts m = locked (fun () -> List.map (fun c -> c.n) !(m.cells))
 
 (* ---- rendering ----------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let value_to_json = function
-  | Counter_v n -> string_of_int n
-  | Gauge_v n -> string_of_int n
+  | Counter_v n | Gauge_v n -> Json.Int n
   | Histogram_v { count; sum; max; buckets } ->
-      let bs =
-        buckets
-        |> List.map (fun (i, n) -> Printf.sprintf "\"%d\":%d" i n)
-        |> String.concat ","
-      in
-      Printf.sprintf "{\"count\":%d,\"sum\":%d,\"max\":%d,\"buckets\":{%s}}"
-        count sum max bs
+      let bucket (i, n) = (string_of_int i, Json.Int n) in
+      Json.(
+        Obj
+          [ ("count", Int count); ("sum", Int sum); ("max", Int max);
+            ("buckets", Obj (List.map bucket buckets)) ])
 
-let to_json snap =
-  let entries =
-    snap
-    |> List.map (fun (name, v) ->
-           Printf.sprintf "  \"%s\": %s" (json_escape name) (value_to_json v))
-    |> String.concat ",\n"
-  in
-  "{\n" ^ entries ^ "\n}"
+let to_json snap = Json.Obj (List.map (fun (name, v) -> (name, value_to_json v)) snap)
 
 let pp ppf snap =
   List.iter

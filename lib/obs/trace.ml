@@ -191,31 +191,21 @@ let dropped () =
 
 let ph_to_string = function B -> "B" | E -> "E" | I -> "i"
 
-let args_json args =
-  args
-  |> List.map (fun (k, v) ->
-         Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape k)
-           (Metrics.json_escape v))
-  |> String.concat ","
+let args_json args = List.map (fun (k, v) -> (k, Json.Str v)) args
 
-let event_json ~vt e =
-  let wall =
-    match e.wall_us with
-    | None -> ""
-    | Some us -> Printf.sprintf ",\"wall_us\":%d" us
-  in
-  Printf.sprintf
-    "{\"vt\":%d,\"epoch\":%d,\"slot\":%d,\"seq\":%d,\"ph\":\"%s\",\"name\":\"%s\",\"cat\":\"%s\",\"args\":{%s}%s}"
-    vt e.epoch e.slot e.seq (ph_to_string e.ph)
-    (Metrics.json_escape e.name)
-    (Metrics.json_escape e.cat)
-    (args_json e.args) wall
+let wall_json = function None -> [] | Some us -> [ ("wall_us", Json.Int us) ]
 
 let to_jsonl events =
   let b = Buffer.create 4096 in
   List.iteri
     (fun vt e ->
-      Buffer.add_string b (event_json ~vt e);
+      Json.(
+        to_buffer ~layout:Compact b
+          (Obj
+             ([ ("vt", Int vt); ("epoch", Int e.epoch); ("slot", Int e.slot);
+                ("seq", Int e.seq); ("ph", Str (ph_to_string e.ph)); ("name", Str e.name);
+                ("cat", Str e.cat); ("args", Obj (args_json e.args)) ]
+              @ wall_json e.wall_us)));
       Buffer.add_char b '\n')
     events;
   Buffer.contents b
@@ -224,24 +214,13 @@ let to_jsonl events =
    merged rank, displayed as microseconds); tid maps slot -1 -> 0 so
    the orchestrator renders as the first track. *)
 let to_chrome events =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  List.iteri
-    (fun vt e ->
-      if vt > 0 then Buffer.add_char b ',';
-      let a = args_json e.args in
-      let wall =
-        match e.wall_us with
-        | None -> ""
-        | Some us ->
-            (if a = "" then "" else ",") ^ Printf.sprintf "\"wall_us\":%d" us
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%d,\"pid\":0,\"tid\":%d,\"args\":{%s%s}}"
-           (Metrics.json_escape e.name)
-           (Metrics.json_escape (if e.cat = "" then "app" else e.cat))
-           (ph_to_string e.ph) vt (e.slot + 1) a wall))
-    events;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let chrome vt e =
+    Json.(
+      Obj
+        [ ("name", Str e.name); ("cat", Str (if e.cat = "" then "app" else e.cat));
+          ("ph", Str (ph_to_string e.ph)); ("ts", Int vt); ("pid", Int 0);
+          ("tid", Int (e.slot + 1));
+          ("args", Obj (args_json e.args @ wall_json e.wall_us)) ])
+  in
+  Json.(
+    to_string ~layout:Compact (Obj [ ("traceEvents", List (List.mapi chrome events)) ]))

@@ -37,12 +37,17 @@ end
 
 let max_jobs = 128
 
+(* Decimal digits only: [int_of_string] alone would also take "0x2",
+   "+2" and "1_0" (ten jobs). *)
 let parse_jobs s =
-  match int_of_string_opt (String.trim s) with
-  | None -> Error (Printf.sprintf "invalid job count %S (expected an integer)" s)
-  | Some n when n < 1 ->
-      Error (Printf.sprintf "invalid job count %d (must be >= 1)" n)
-  | Some n -> Ok (min n max_jobs)
+  if s = "" || not (String.for_all (function '0' .. '9' -> true | _ -> false) s)
+  then Error (Printf.sprintf "invalid job count %S (expected decimal digits)" s)
+  else
+    match int_of_string_opt s with
+    | Some n when n < 1 ->
+        Error (Printf.sprintf "invalid job count %d (must be >= 1)" n)
+    | Some n -> Ok (min n max_jobs)
+    | None -> Ok max_jobs (* more digits than an int holds *)
 
 let env_var = "DFSM_JOBS"
 

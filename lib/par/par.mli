@@ -23,8 +23,9 @@ val env_var : string
 (** ["DFSM_JOBS"]. *)
 
 val parse_jobs : string -> (int, string) result
-(** Parse a job count; [Error] for non-integers and values [< 1],
-    values above {!max_jobs} are clamped. *)
+(** Parse a job count: decimal digits only, so [Error] for anything
+    else (a sign, a hex prefix, [_], whitespace) and for [0]; values
+    above {!max_jobs} are clamped. *)
 
 val jobs_from_env : unit -> (int option, string) result
 (** Read {!env_var}: [Ok None] when unset, [Ok (Some n)] when valid,

@@ -135,15 +135,16 @@ let pp ppf t =
     t.cells
 
 let to_json t =
-  let cell_json c =
-    Printf.sprintf
-      "{\"operation\":\"%s\",\"pfsm\":\"%s\",\"kind\":\"%s\",\"spec_acpt\":%d,\"spec_rej\":%d,\"impl_rej\":%d,\"impl_acpt\":%d,\"exercised\":%d}"
-      (Obs.Metrics.json_escape c.operation)
-      (Obs.Metrics.json_escape c.pfsm)
-      (Obs.Metrics.json_escape (Taxonomy.to_string c.kind))
-      c.spec_acpt c.spec_rej c.impl_rej c.impl_acpt (exercised c)
+  let cell c =
+    Json.(
+      Obj
+        [ ("operation", Str c.operation); ("pfsm", Str c.pfsm);
+          ("kind", Str (Taxonomy.to_string c.kind)); ("spec_acpt", Int c.spec_acpt);
+          ("spec_rej", Int c.spec_rej); ("impl_rej", Int c.impl_rej);
+          ("impl_acpt", Int c.impl_acpt); ("exercised", Int (exercised c)) ])
   in
-  Printf.sprintf
-    "{\"scenarios\":%d,\"edges_exercised\":%d,\"edges_total\":%d,\"pct\":%.1f,\"cells\":[%s]}"
-    t.scenarios (edges_exercised t) (edges_total t) (pct t)
-    (String.concat "," (List.map cell_json t.cells))
+  Json.(
+    Obj
+      [ ("scenarios", Int t.scenarios); ("edges_exercised", Int (edges_exercised t));
+        ("edges_total", Int (edges_total t)); ("pct", Fixed (1, pct t));
+        ("cells", List (List.map cell t.cells)) ])

@@ -42,4 +42,4 @@ val pct : t -> float
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : t -> string
+val to_json : t -> Json.t

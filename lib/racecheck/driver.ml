@@ -104,38 +104,38 @@ let confirmed report =
 
 (* ---- rendering ---------------------------------------------------- *)
 
-let esc = Obs.Metrics.json_escape
+let status_to_json status =
+  Json.(
+    match status with
+    | Confirmed { schedule; explored } ->
+        [ ("status", Str "confirmed"); ("explored", Int explored);
+          ("schedule", List (List.map (fun l -> Str l) schedule)) ]
+    | Refuted { explored } -> [ ("status", Str "refuted"); ("explored", Int explored) ]
+    | Unresolved { explored; total } ->
+        [ ("status", Str "unresolved"); ("explored", Int explored);
+          ("total", Int total) ])
 
-let status_to_json = function
-  | Confirmed { schedule; explored } ->
-      Printf.sprintf "\"status\":\"confirmed\",\"explored\":%d,\"schedule\":[%s]"
-        explored
-        (String.concat ","
-           (List.map (fun l -> Printf.sprintf "\"%s\"" (esc l)) schedule))
-  | Refuted { explored } ->
-      Printf.sprintf "\"status\":\"refuted\",\"explored\":%d" explored
-  | Unresolved { explored; total } ->
-      Printf.sprintf "\"status\":\"unresolved\",\"explored\":%d,\"total\":%d"
-        explored total
-
-let checked_to_json c =
-  let f = c.finding in
-  Printf.sprintf
-    "{\"object\":\"%s\",\"check\":\"%s\",\"use\":\"%s\",\"writer\":\"%s\",%s}"
-    (esc f.Finding.obj) (esc f.Finding.check) (esc f.Finding.use)
-    (esc f.Finding.writer) (status_to_json c.status)
+let checked_to_json { finding = f; status } =
+  Json.(
+    Obj
+      ([ ("object", Str f.Finding.obj); ("check", Str f.Finding.check);
+         ("use", Str f.Finding.use); ("writer", Str f.Finding.writer) ]
+       @ status_to_json status))
 
 let instance_to_json ir =
-  Printf.sprintf
-    "{\"instance\":\"%s\",\"app\":\"%s\",\"interleavings\":%d,\"findings\":[%s]}"
-    (esc ir.instance) (esc ir.app) ir.total
-    (String.concat "," (List.map checked_to_json ir.findings))
+  Json.(
+    Obj
+      [ ("instance", Str ir.instance); ("app", Str ir.app);
+        ("interleavings", Int ir.total);
+        ("findings", List (List.map checked_to_json ir.findings)) ])
 
 let to_json report =
-  Printf.sprintf
-    "{\"budget\":%d,\"por\":%b,\"confirmed\":%b,\"instances\":[%s]}"
-    report.budget report.por (confirmed report)
-    (String.concat "," (List.map instance_to_json report.instances))
+  Json.(
+    to_string ~layout:Compact
+      (Obj
+         [ ("budget", Int report.budget); ("por", Bool report.por);
+           ("confirmed", Bool (confirmed report));
+           ("instances", List (List.map instance_to_json report.instances)) ]))
 
 let pp_status ppf = function
   | Confirmed { schedule; explored } ->

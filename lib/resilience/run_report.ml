@@ -71,46 +71,25 @@ let pp ppf t =
     t.items;
   Format.fprintf ppf "@]"
 
-(* Minimal JSON string escaping (the report never contains exotic
-   control characters beyond what String.escaped covers). *)
-let json_str s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let item_to_json i =
-  match i.outcome with
-  | Completed { attempts } ->
-      Printf.sprintf
-        "{\"id\": %s, \"outcome\": \"completed\", \"attempts\": %d, \
-         \"from_checkpoint\": %b}"
-        (json_str i.id) attempts i.from_checkpoint
-  | Quarantined { attempts; cause } ->
-      Printf.sprintf
-        "{\"id\": %s, \"outcome\": \"quarantined\", \"attempts\": %d, \
-         \"cause\": %s, \"from_checkpoint\": %b}"
-        (json_str i.id) attempts
-        (json_str (Quarantine.cause_to_string cause))
-        i.from_checkpoint
+  let outcome, attempts, cause =
+    match i.outcome with
+    | Completed { attempts } -> ("completed", attempts, [])
+    | Quarantined { attempts; cause } ->
+        let cause = Json.Str (Quarantine.cause_to_string cause) in
+        ("quarantined", attempts, [ ("cause", cause) ])
+  in
+  Json.(
+    Obj
+      ([ ("id", Str i.id); ("outcome", Str outcome); ("attempts", Int attempts) ]
+       @ cause
+       @ [ ("from_checkpoint", Bool i.from_checkpoint) ]))
 
 let to_json t =
-  Printf.sprintf
-    "{\"label\": %s, \"seed\": %d, \"total\": %d, \"completed\": %d, \
-     \"retried\": %d, \"resumed\": %d, \"quarantined\": %d, \"waited\": %d, \
-     \"journal_skipped\": %d, \"ok\": %b, \"items\": [%s]}"
-    (json_str t.label) t.seed (total t) (completed t) (retried t) (resumed t)
-    (quarantined t) t.waited t.journal_skipped (ok t)
-    (String.concat ", " (List.map item_to_json t.items))
+  Json.(
+    Obj
+      [ ("label", Str t.label); ("seed", Int t.seed); ("total", Int (total t));
+        ("completed", Int (completed t)); ("retried", Int (retried t));
+        ("resumed", Int (resumed t)); ("quarantined", Int (quarantined t));
+        ("waited", Int t.waited); ("journal_skipped", Int t.journal_skipped);
+        ("ok", Bool (ok t)); ("items", List (List.map item_to_json t.items)) ])

@@ -62,4 +62,4 @@ val same_outcomes : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : t -> string
+val to_json : t -> Json.t

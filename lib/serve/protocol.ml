@@ -20,35 +20,50 @@ type request =
 
 let parse ~line_id line =
   match Json.parse line with
-  | Error msg -> Error ("bad JSON: " ^ msg)
+  | Error e -> Error ("bad JSON: " ^ Json.error_to_string e)
   | Ok json -> (
-      let id = Option.value ~default:line_id (Json.field_str "id" json) in
-      let required field k =
-        match Json.field_str field json with
-        | Some v -> k v
-        | None -> Error (Printf.sprintf "missing field %S" field)
+      let ( let* ) = Result.bind in
+      (* an absent field is [None]; a present one of the wrong type is
+         an error that names it *)
+      let field kind get name =
+        match Json.mem name json with
+        | None -> Ok None
+        | Some v -> (
+            match get v with
+            | Some x -> Ok (Some x)
+            | None -> Error (Printf.sprintf "field %S must be %s" name kind))
       in
-      let work w = Ok (Work { id; fuel = Json.field_int "fuel" json; work = w }) in
-      match Json.field_str "kind" json with
-      | None -> Error "missing field \"kind\""
-      | Some "lint" -> required "target" (fun target -> work (Lint { target }))
-      | Some "analyze" -> required "app" (fun app -> work (Analyze { app }))
-      | Some "exploit" -> required "app" (fun app -> work (Exploit { app }))
-      | Some "chaos" -> required "plan" (fun plan -> work (Chaos { plan }))
-      | Some "boom" ->
-          let mode =
-            Option.value ~default:"crash" (Json.field_str "mode" json)
-          in
-          let times = Option.value ~default:max_int (Json.field_int "times" json) in
-          work (Boom { mode; times })
-      | Some "stats" ->
-          Ok
-            (Stats
-               { id;
-                 full = Option.value ~default:false (Json.field_bool "full" json) })
-      | Some "flush" -> Ok Flush
-      | Some "shutdown" -> Ok Shutdown
-      | Some other -> Error (Printf.sprintf "unknown kind %S" other))
+      let str = field "a string" Json.str and int = field "an integer" Json.int in
+      let required name k =
+        let* v = str name in
+        match v with
+        | Some v -> k v
+        | None -> Error (Printf.sprintf "missing field %S" name)
+      in
+      required "kind" @@ fun kind ->
+      let* id = Result.map (Option.value ~default:line_id) (str "id") in
+      let work w =
+        let* fuel = int "fuel" in
+        Ok (Work { id; fuel; work = w })
+      in
+      match kind with
+      | "lint" -> required "target" (fun target -> work (Lint { target }))
+      | "analyze" -> required "app" (fun app -> work (Analyze { app }))
+      | "exploit" -> required "app" (fun app -> work (Exploit { app }))
+      | "chaos" -> required "plan" (fun plan -> work (Chaos { plan }))
+      | "boom" ->
+          let* mode = str "mode" in
+          let* times = int "times" in
+          work
+            (Boom
+               { mode = Option.value ~default:"crash" mode;
+                 times = Option.value ~default:max_int times })
+      | "stats" ->
+          let* full = field "a boolean" Json.bool "full" in
+          Ok (Stats { id; full = Option.value ~default:false full })
+      | "flush" -> Ok Flush
+      | "shutdown" -> Ok Shutdown
+      | other -> Error (Printf.sprintf "unknown kind %S" other))
 
 let request_id = function
   | Work { id; _ } | Stats { id; _ } -> Some id

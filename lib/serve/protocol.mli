@@ -44,8 +44,10 @@ type request =
 
 val parse : line_id:string -> string -> (request, string) result
 (** Parse one request line; [line_id] is the fallback id.  [Error]
-    carries a human-readable reason (unknown kind, missing field,
-    JSON syntax). *)
+    carries a human-readable reason: unknown kind, missing field, a
+    present field of the wrong type (named, as in [field "app" must be
+    a string]), or a {!Json.error} — JSON syntax, invalid UTF-8, an
+    unpaired surrogate. *)
 
 val request_id : request -> string option
 

@@ -77,7 +77,7 @@ val accounted : summary -> bool
 val percentile : int -> int list -> int
 (** Nearest-rank percentile; 0 on the empty list. *)
 
-val summary_to_json : summary -> string
+val summary_to_json : summary -> Json.t
 
 val pp_summary : Format.formatter -> summary -> unit
 

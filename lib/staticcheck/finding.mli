@@ -59,8 +59,4 @@ val outcome_matches : kind -> Minic.Interp.outcome -> bool
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : t -> string
-
-val json_str : string -> string
-(** Quote and escape a string as a JSON literal (shared by the
-    report-level JSON in {!Linter}). *)
+val to_json : t -> Json.t

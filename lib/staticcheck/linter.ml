@@ -51,12 +51,12 @@ let pp_report ppf r =
   Format.fprintf ppf "@]"
 
 let report_to_json r =
-  Printf.sprintf
-    "{\"func\": %s, \"nodes\": %d, \"edges\": %d, \"back_edges\": %d, \
-     \"loop_iterations\": %d, \"widenings\": %d, \"findings\": [%s]}"
-    (Finding.json_str r.func.A.name)
-    r.nodes r.edges r.back_edges r.loop_iterations r.widenings
-    (String.concat ", " (List.map Finding.to_json r.findings))
+  Json.(
+    Obj
+      [ ("func", Str r.func.A.name); ("nodes", Int r.nodes); ("edges", Int r.edges);
+        ("back_edges", Int r.back_edges); ("loop_iterations", Int r.loop_iterations);
+        ("widenings", Int r.widenings);
+        ("findings", List (List.map Finding.to_json r.findings)) ])
 
 (* ---- corpus sweep -------------------------------------------------- *)
 
@@ -177,14 +177,10 @@ let pp_sweep ppf rows =
      else "EXPECTATION MISMATCH")
 
 let sweep_to_json rows =
-  Printf.sprintf "{\"ok\": %b, \"rows\": [%s]}" (sweep_ok rows)
-    (String.concat ", "
-       (List.map
-          (fun row ->
-             Printf.sprintf
-               "{\"label\": %s, \"expected\": %s, \"ok\": %b, \"report\": %s}"
-               (Finding.json_str row.label)
-               (Finding.json_str (expectation_to_string row.expected))
-               row.ok
-               (report_to_json row.report))
-          rows))
+  let row r =
+    Json.(
+      Obj
+        [ ("label", Str r.label); ("expected", Str (expectation_to_string r.expected));
+          ("ok", Bool r.ok); ("report", report_to_json r.report) ])
+  in
+  Json.(Obj [ ("ok", Bool (sweep_ok rows)); ("rows", List (List.map row rows)) ])

@@ -31,7 +31,7 @@ val lint_program : ?config:Absint.config -> Minic.Ast.func list -> report list
 
 val pp_report : Format.formatter -> report -> unit
 
-val report_to_json : report -> string
+val report_to_json : report -> Json.t
 
 (** Ground truth for one corpus entry. *)
 type expectation =
@@ -79,4 +79,4 @@ val sweep_ok : sweep_row list -> bool
 
 val pp_sweep : Format.formatter -> sweep_row list -> unit
 
-val sweep_to_json : sweep_row list -> string
+val sweep_to_json : sweep_row list -> Json.t

@@ -12,10 +12,11 @@ let zero_stats =
     write_failures = 0 }
 
 let stats_to_json s =
-  Printf.sprintf
-    "{\"hits\": %d, \"misses\": %d, \"corrupt\": %d, \"repaired\": %d, \
-     \"writes\": %d, \"write_failures\": %d}"
-    s.hits s.misses s.corrupt s.repaired s.writes s.write_failures
+  Json.(
+    Obj
+      [ ("hits", Int s.hits); ("misses", Int s.misses); ("corrupt", Int s.corrupt);
+        ("repaired", Int s.repaired); ("writes", Int s.writes);
+        ("write_failures", Int s.write_failures) ])
 
 let sub_stats a b =
   { hits = a.hits - b.hits;

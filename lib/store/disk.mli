@@ -36,7 +36,7 @@ type stats = {
 
 val zero_stats : stats
 
-val stats_to_json : stats -> string
+val stats_to_json : stats -> Json.t
 
 val sub_stats : stats -> stats -> stats
 (** Pointwise difference (a phase delta). *)

@@ -133,45 +133,22 @@ let scan ?(repair = false) store =
 
 let clean r = List.for_all (fun (e : entry) -> e.removed) r.entries
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
   let entry e =
-    Printf.sprintf
-      "    {\"path\": \"%s\", \"status\": \"%s\", \"removed\": %b}"
-      (json_escape e.path)
-      (status_to_string e.status)
-      e.removed
+    Json.(
+      Obj
+        [ ("path", Str e.path); ("status", Str (status_to_string e.status));
+          ("removed", Bool e.removed) ])
   in
-  String.concat "\n"
-    [
-      "{";
-      Printf.sprintf "  \"ok\": %d," r.sound;
-      Printf.sprintf "  \"torn\": %d," r.torn;
-      Printf.sprintf "  \"checksum_mismatch\": %d," r.checksum_mismatch;
-      Printf.sprintf "  \"stale_version\": %d," r.stale_version;
-      Printf.sprintf "  \"orphan_tmp\": %d," r.orphan_tmp;
-      Printf.sprintf "  \"manifest_stale\": %d," r.manifest_stale;
-      Printf.sprintf "  \"manifest_missing\": %d," r.manifest_missing;
-      Printf.sprintf "  \"removed\": %d," r.removed;
-      Printf.sprintf "  \"manifest_rewritten\": %b," r.manifest_rewritten;
-      Printf.sprintf "  \"clean\": %b," (clean r);
-      Printf.sprintf "  \"entries\": [\n%s\n  ]"
-        (String.concat ",\n" (List.map entry r.entries));
-      "}";
-    ]
+  Json.(
+    Obj
+      [ ("ok", Int r.sound); ("torn", Int r.torn);
+        ("checksum_mismatch", Int r.checksum_mismatch);
+        ("stale_version", Int r.stale_version); ("orphan_tmp", Int r.orphan_tmp);
+        ("manifest_stale", Int r.manifest_stale);
+        ("manifest_missing", Int r.manifest_missing); ("removed", Int r.removed);
+        ("manifest_rewritten", Bool r.manifest_rewritten); ("clean", Bool (clean r));
+        ("entries", List (List.map entry r.entries)) ])
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>";

@@ -48,6 +48,6 @@ val clean : report -> bool
     repair (trivially true for a scan that found only [Sound]
     records). *)
 
-val to_json : report -> string
+val to_json : report -> Json.t
 
 val pp : Format.formatter -> report -> unit

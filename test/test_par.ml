@@ -118,13 +118,14 @@ let test_parse_jobs () =
        match Par.parse_jobs s with
        | Error _ -> ()
        | Ok n -> Alcotest.failf "%S accepted as %d" s n)
-    [ "0"; "-2"; "banana"; ""; "2.5" ]
+    [ "0"; "-2"; "banana"; ""; "2.5"; "0x2"; "+2"; " 2"; "1_0" ]
 
 (* ---- byte-identity across the batch surfaces ---------------------- *)
 
 let test_lint_sweep_identity () =
   check_identical "lint sweep JSON" (fun () ->
-      Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ()))
+      Json.to_string
+        (Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ())))
 
 let test_fault_matrix_identity () =
   check_identical "fault matrix reports" (fun () ->

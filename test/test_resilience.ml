@@ -476,8 +476,8 @@ let test_ingest_under_bitflip () =
               | _ -> false)
            (R.Quarantine.entries a.R.Ingest.rejected));
       Alcotest.(check string) "deterministic under the plan seed"
-        (R.Run_report.to_json a.R.Ingest.report)
-        (R.Run_report.to_json b.R.Ingest.report)
+        (Json.to_string (R.Run_report.to_json a.R.Ingest.report))
+        (Json.to_string (R.Run_report.to_json b.R.Ingest.report))
   | _ -> Alcotest.fail "document-level failure under bitflip"
 
 let with_jobs jobs f =
@@ -516,8 +516,8 @@ let test_ingest_duplicates_parallel_identical () =
         (Vulndb.Database.reports a.R.Ingest.db
          = Vulndb.Database.reports b.R.Ingest.db);
       Alcotest.(check string) "run reports byte-identical"
-        (R.Run_report.to_json a.R.Ingest.report)
-        (R.Run_report.to_json b.R.Ingest.report);
+        (Json.to_string (R.Run_report.to_json a.R.Ingest.report))
+        (Json.to_string (R.Run_report.to_json b.R.Ingest.report));
       Alcotest.(check bool) "first occurrence wins" true
         (List.exists
            (fun (r : Vulndb.Report.t) ->

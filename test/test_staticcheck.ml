@@ -175,7 +175,7 @@ let test_pfsm_corroboration () =
 
 let test_json_renders () =
   let rows = L.corpus_sweep () in
-  let json = L.sweep_to_json rows in
+  let json = Json.to_string (L.sweep_to_json rows) in
   Alcotest.(check bool) "ok flag" true
     (String.length json > 2 && String.sub json 0 11 = {|{"ok": true|});
   (* keep it parseable by eye: balanced braces *)

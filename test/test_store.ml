@@ -333,7 +333,8 @@ let test_warm_sweep_byte_identical () =
      store-backed sweep, and a warm one are byte-identical, and the
      warm pass recomputes nothing *)
   let sweep () =
-    Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ())
+    Json.to_string
+      (Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ()))
   in
   let reference = sweep () in
   with_dir (fun dir ->
@@ -359,7 +360,8 @@ let test_warm_sweep_jobs_identical () =
       let prev = Par.jobs () in
       let sweep jobs =
         Par.set_jobs jobs;
-        Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ())
+        Json.to_string
+          (Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ()))
       in
       Fun.protect ~finally:(fun () -> Par.set_jobs prev)
         (fun () ->
