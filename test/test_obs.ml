@@ -42,6 +42,22 @@ let prop_trace_identity =
          (fun j -> with_jobs j (fun () -> traced_jsonl xs) = reference)
          job_counts)
 
+(* Span names and args carry request ids and other outside strings:
+   both exports stay valid UTF-8 JSON whatever bytes those hold. *)
+let prop_trace_exports_utf8 =
+  let open QCheck in
+  Test.make ~name:"trace exports are UTF-8 JSON for any bytes" ~count:100
+    (triple string string string)
+    (fun (name, key, value) ->
+       Obs.Trace.start ();
+       Obs.Span.with_span ~cat:name ~args:[ (key, value) ] name (fun () ->
+           Obs.Span.instant ~args:[ (value, key) ] value);
+       let events = Obs.Trace.drain () in
+       let json s = String.is_valid_utf_8 s && Result.is_ok (Json.parse s) in
+       json (Obs.Trace.to_chrome events)
+       && List.for_all json
+            (String.split_on_char '\n' (String.trim (Obs.Trace.to_jsonl events))))
+
 let test_chaos_trace_identity () =
   (* the flagship contract: a traced chaos run serializes identically
      at every -j *)
@@ -343,6 +359,7 @@ let () =
   Alcotest.run "obs"
     [ ("trace",
        [ QCheck_alcotest.to_alcotest prop_trace_identity;
+         QCheck_alcotest.to_alcotest prop_trace_exports_utf8;
          Alcotest.test_case "chaos trace identity" `Slow
            test_chaos_trace_identity;
          Alcotest.test_case "span nesting" `Quick test_span_nesting;
