@@ -1,8 +1,9 @@
 (* Benchmark & reproduction harness.
 
-   Part 1 regenerates every table and figure of the paper (the rows /
-   series the paper reports); part 2 runs Bechamel micro-benchmarks —
-   one Test.make per experiment plus the substrate hot paths.
+   Regenerates every table and figure of the paper (the rows / series
+   the paper reports), then times the layers underneath: the lint
+   sweep, resilience, PAR, OBS, SERVE, STORE, PERF and CORPUS
+   sections.
 
    Run with: dune exec bench/main.exe --
                [--smoke] [--json [FILE]] [--compare FILE] [--threshold PCT]
@@ -153,7 +154,7 @@ let compare_with_baseline path =
 let section title =
   Format.printf "@.%s@.%s@.@." title (String.make (String.length title) '=')
 
-(* ================= Part 1: figure/table reproduction ============== *)
+(* ================= figure/table reproduction ====================== *)
 
 let fig1 () =
   section "FIG1 -- Breakdown of 5925 Bugtraq vulnerabilities (Figure 1)";
@@ -773,13 +774,19 @@ let par_bench () =
         done)
   in
   Pfsm.Analysis.memo_reset ();
+  let before = Pfsm.Analysis.memo_stats () in
   let (), memod =
     wall (fun () ->
         for _ = 1 to memo_reps do
           ignore (Pfsm.Analysis.analyze ~memo:true iis_model ~scenarios:memo_scenarios)
         done)
   in
-  let stats = Pfsm.Analysis.memo_stats () in
+  let after = Pfsm.Analysis.memo_stats () in
+  let stats =
+    { Pfsm.Analysis.lookups = after.lookups - before.lookups;
+      hits = after.hits - before.hits;
+      misses = after.misses - before.misses }
+  in
   let hit_rate =
     if stats.Pfsm.Analysis.lookups = 0 then 0.
     else
@@ -1000,6 +1007,7 @@ let store_bench () =
   sweep ();  (* warm-up outside every timed region *)
   let baseline = timed sweep in
   let s = Store.Disk.open_ ~dir in
+  let before = Store.Disk.stats () in
   Fun.protect
     ~finally:(fun () -> Store.Disk.close s; rm_rf dir)
     (fun () ->
@@ -1029,7 +1037,7 @@ let store_bench () =
               (Store.Disk.manifest_keys s)
           in
           let degraded = timed (fun () -> tamper (); sweep ()) in
-          let st = Store.Disk.stats s in
+          let st = Store.Disk.sub_stats (Store.Disk.stats ()) before in
           Format.printf "corpus sweep, %d repetitions per mode:@." reps;
           Format.printf "  store-less          %8.2f ms@." (baseline *. 1000.);
           Format.printf "  cold (all writes)   %8.2f ms@." (cold *. 1000.);
@@ -1159,9 +1167,9 @@ let perf_bench () =
   in
   (* warm both enumerations (and the minor heap) outside the timed
      region, so the first leg doesn't pay the GC ramp-up *)
-  ignore (drain (Sch.schedules_por_ref ~independent:E.independent procs));
+  ignore (drain (Scheduler_ref.schedules_por ~independent:E.independent procs));
   ignore (drain (Sch.schedules_por ~independent:E.independent procs));
-  let (steps_l, pbytes_l), pt_l = best_of (por_leg Sch.schedules_por_ref) in
+  let (steps_l, pbytes_l), pt_l = best_of (por_leg Scheduler_ref.schedules_por) in
   let (steps_b, pbytes_b), pt_b = best_of (por_leg Sch.schedules_por) in
   Format.printf "@.POR sleep sets (3 processes, %d drains):@." preps;
   Format.printf "  int lists             %8.2f ms  %12.0f bytes@."
@@ -1227,12 +1235,12 @@ let perf_bench () =
   in
   List.iter
     (fun f ->
-      ignore (Staticcheck.Absint_ref.analyze ~config f);
+      ignore (Absint_ref.analyze ~config f);
       ignore (Staticcheck.Absint.analyze ~config f))
     funcs;
   let (raws_m, abytes_m), at_m =
     best_of
-      (absint_leg (fun ~config f -> Staticcheck.Absint_ref.analyze ~config f))
+      (absint_leg (fun ~config f -> Absint_ref.analyze ~config f))
   in
   let (raws_s, abytes_s), at_s =
     best_of (absint_leg (fun ~config f -> Staticcheck.Absint.analyze ~config f))
@@ -1362,248 +1370,6 @@ let corpus_bench () =
   record ~section:"CORPUS" "classify-ms" (classify_t *. 1000.);
   record ~section:"CORPUS" "classify-accuracy" t0.Corpus.Pipeline.accuracy
 
-(* ================= Part 2: Bechamel micro-benchmarks ============== *)
-
-open Bechamel
-open Toolkit
-
-let stage = Staged.stage
-
-let experiment_tests =
-  [ Test.make ~name:"fig1/synth+stats"
-      (stage (fun () ->
-           let db = Vulndb.Synth.generate ~seed:1 in
-           Vulndb.Stats.breakdown db));
-    Test.make ~name:"fig2/pfsm-run"
-      (let pfsm =
-         Pfsm.Primitive.make ~name:"p" ~kind:Pfsm.Taxonomy.Content_attribute_check
-           ~activity:"a"
-           ~spec:(Pfsm.Predicate.between Pfsm.Predicate.Self ~low:0 ~high:100)
-           ~impl:Pfsm.Predicate.True
-       in
-       stage (fun () -> Pfsm.Primitive.run pfsm ~env:Pfsm.Env.empty ~self:(Pfsm.Value.Int (-5))));
-    Test.make ~name:"fig3/sendmail-model-run"
-      (let app = Apps.Sendmail.setup () in
-       let model = Apps.Sendmail.model app in
-       let env = Apps.Sendmail.exploit_scenario app in
-       stage (fun () -> Pfsm.Model.run model ~env));
-    Test.make ~name:"fig3/sendmail-simulation"
-      (stage (fun () ->
-           let app = Apps.Sendmail.setup () in
-           let str_x, str_i = Exploit.Attack.sendmail_inputs app in
-           Apps.Sendmail.run_attack app ~str_x ~str_i));
-    Test.make ~name:"fig4/nullhttpd-simulation-6255"
-      (stage (fun () ->
-           let app = Apps.Nullhttpd.setup ~config:Apps.Nullhttpd.v0_5_1 () in
-           let content_len, body = Exploit.Attack.nullhttpd_6255 app in
-           Apps.Nullhttpd.handle_post app ~content_len ~body));
-    Test.make ~name:"fig4/differential-sweep"
-      (stage (fun () ->
-           Discovery.Differential.nullhttpd_sweep ~config:Apps.Nullhttpd.v0_5_1 ()));
-    Test.make ~name:"fig5/xterm-race-exploration"
-      (stage (fun () -> Apps.Xterm.run_race { Apps.Xterm.open_nofollow = false }));
-    Test.make ~name:"fig6/rwall-simulation"
-      (stage (fun () ->
-           Apps.Rwall.run_attack (Apps.Rwall.setup ()) ~message:"m\n"));
-    Test.make ~name:"fig7/iis-request"
-      (let app = Apps.Iis.setup () in
-       stage (fun () -> Apps.Iis.handle_request app Exploit.Attack.iis_path));
-    Test.make ~name:"tab2/taxonomy-matrix"
-      (let model = Apps.Nullhttpd.model (Apps.Nullhttpd.setup ()) in
-       stage (fun () -> Pfsm.Analysis.taxonomy_matrix model));
-    Test.make ~name:"lemma/sufficiency"
-      (let app = Apps.Sendmail.setup () in
-       let model = Apps.Sendmail.model app in
-       let scenarios = [ Apps.Sendmail.exploit_scenario app ] in
-       stage (fun () -> Pfsm.Lemma.sufficiency model ~scenarios)) ]
-
-let substrate_tests =
-  [ Test.make ~name:"heap/malloc-free-cycle"
-      (let mem = Machine.Memory.create ~base:0x1000 ~size:0x100000 in
-       let heap = Machine.Heap.create mem ~base:0x1000 ~size:0x100000 ~safe_unlink:false in
-       stage (fun () ->
-           match Machine.Heap.malloc heap 256 with
-           | Some user -> Machine.Heap.free heap user
-           | None -> ()));
-    Test.make ~name:"stack/push-pop-frame"
-      (let mem = Machine.Memory.create ~base:0x1000 ~size:0x100000 in
-       let stack =
-         Machine.Stack.create mem ~base:0x1000 ~size:0x100000
-           ~protection:Machine.Stack.Stackguard
-       in
-       stage (fun () ->
-           Machine.Stack.push_frame stack ~func:"f" ~ret_addr:0x8000000
-             ~locals:[ ("buf", 200) ];
-           Machine.Stack.pop_frame stack));
-    Test.make ~name:"fmt/interpret-8-directives"
-      (let mem = Machine.Memory.create ~base:0x1000 ~size:0x10000 in
-       stage (fun () ->
-           Apps.Format_interp.interpret mem ~fmt:"%8x%8x%8x%8x%8x%8x%8x%8x"
-             ~arg_cursor:0x1000));
-    Test.make ~name:"predicate/eval-index-check"
-      (let p = Pfsm.Predicate.between Pfsm.Predicate.Self ~low:0 ~high:100 in
-       stage (fun () -> Pfsm.Predicate.holds ~env:Pfsm.Env.empty ~self:(Pfsm.Value.Int 42) p));
-    Test.make ~name:"predicate/eval-double-decode"
-      (let p =
-         Pfsm.Predicate.Not
-           (Pfsm.Predicate.Contains (Pfsm.Predicate.Decode (2, Pfsm.Predicate.Self), "../"))
-       in
-       stage (fun () ->
-           Pfsm.Predicate.holds ~env:Pfsm.Env.empty
-             ~self:(Pfsm.Value.Str "..%252f..%252fwinnt%252fsystem32") p));
-    Test.make ~name:"witness/search-36-candidates"
-      (let pfsm =
-         Pfsm.Primitive.make ~name:"p" ~kind:Pfsm.Taxonomy.Content_attribute_check
-           ~activity:"a"
-           ~spec:(Pfsm.Predicate.between Pfsm.Predicate.Self ~low:0 ~high:100)
-           ~impl:Pfsm.Predicate.True
-       in
-       let candidates =
-         List.map
-           (fun x -> Pfsm.Witness.candidate (Pfsm.Value.Int x))
-           (Discovery.Domain_gen.int_candidates ~seed:3 ~n:20)
-       in
-       stage (fun () -> Pfsm.Witness.hidden_witnesses pfsm ~candidates));
-    Test.make ~name:"scheduler/interleavings-3x2"
-      (stage (fun () -> Osmodel.Scheduler.interleavings [ 1; 2; 3 ] [ 4; 5 ]));
-    Test.make ~name:"strcodec/percent-decode"
-      (stage (fun () ->
-           Pfsm.Strcodec.percent_decode_n 2 "..%252f..%252fwinnt%252fsystem32%252fcmd.exe"));
-    Test.make ~name:"heap/validate-arena"
-      (let mem = Machine.Memory.create ~base:0x1000 ~size:0x100000 in
-       let heap = Machine.Heap.create mem ~base:0x1000 ~size:0x100000 ~safe_unlink:false in
-       let live =
-         List.filter_map (fun i -> Machine.Heap.malloc heap (64 + (i * 8)))
-           (List.init 32 (fun i -> i))
-       in
-       List.iteri (fun i u -> if i mod 2 = 0 then Machine.Heap.free heap u) live;
-       stage (fun () -> Machine.Heap.validate heap));
-    Test.make ~name:"verify/exhaustive-4k-ints"
-      (let pfsm =
-         Pfsm.Primitive.make ~name:"p" ~kind:Pfsm.Taxonomy.Content_attribute_check
-           ~activity:"a"
-           ~spec:(Pfsm.Predicate.between Pfsm.Predicate.Self ~low:0 ~high:100)
-           ~impl:
-             (Pfsm.Predicate.Cmp
-                (Pfsm.Predicate.Le, Pfsm.Predicate.Self,
-                 Pfsm.Predicate.Lit (Pfsm.Value.Int 100)))
-       in
-       stage (fun () ->
-           Pfsm.Verify.verify pfsm (Pfsm.Verify.Int_range { low = -2048; high = 2048 })));
-    Test.make ~name:"vulndb/csv-export-5925"
-      (let db = Vulndb.Synth.generate ~seed:3 in
-       stage (fun () -> Vulndb.Csv.of_database db));
-    Test.make ~name:"vulndb/trend-per-year"
-      (let db = Vulndb.Synth.generate ~seed:3 in
-       stage (fun () -> Vulndb.Trend.per_year db));
-    Test.make ~name:"parse/predicate"
-      (stage (fun () ->
-           Pfsm.Parse.predicate "(self >= 0 && self <= 100) || !(contains(decode^2(self), \"../\"))"));
-    Test.make ~name:"simplify/fixpoint"
-      (let p =
-         Pfsm.Predicate.And
-           (Pfsm.Predicate.Not (Pfsm.Predicate.Not (Pfsm.Predicate.Env_flag "k")),
-            Pfsm.Predicate.Or
-              (Pfsm.Predicate.True,
-               Pfsm.Predicate.Contains (Pfsm.Predicate.Self, "../")))
-       in
-       stage (fun () -> Pfsm.Simplify.simplify p));
-    Test.make ~name:"auto/extract+verify"
-      (stage (fun () ->
-           match
-             Minic.Extract.impl_predicate Minic.Corpus.tTflag_vulnerable
-               ~object_var:Minic.Corpus.tTflag_object
-           with
-           | Some impl ->
-               let pfsm =
-                 Pfsm.Primitive.make ~name:"auto"
-                   ~kind:Pfsm.Taxonomy.Content_attribute_check ~activity:"a"
-                   ~spec:Minic.Corpus.tTflag_spec ~impl
-               in
-               Some (Pfsm.Verify.verify pfsm (Pfsm.Verify.Int_range { low = -512; high = 512 }))
-           | None -> None));
-    Test.make ~name:"auto/interp-tTflag"
-      (stage (fun () ->
-           Minic.Corpus.run_tTflag Minic.Corpus.tTflag_vulnerable ~str_x:"42" ~str_i:"7"));
-    Test.make ~name:"baselines/markov-metf"
-      (let app = Apps.Sendmail.setup () in
-       let model = Apps.Sendmail.model app in
-       let scenario = Apps.Sendmail.exploit_scenario app in
-       stage (fun () -> Baselines.Markov.metf_of_model ~retry:0.2 model ~scenario));
-    Test.make ~name:"baselines/attack-graph"
-      (let app = Apps.Sendmail.setup () in
-       let report =
-         Pfsm.Analysis.analyze (Apps.Sendmail.model app)
-           ~scenarios:
-             [ Apps.Sendmail.exploit_scenario app; Apps.Sendmail.benign_scenario ]
-       in
-       stage (fun () ->
-           let g = Baselines.Attack_graph.of_report report in
-           Baselines.Attack_graph.min_hidden_cut g));
-    Test.make ~name:"ablation/aslr-ghttpd"
-      (stage (fun () ->
-           let reference = Apps.Ghttpd.setup () in
-           let request = Exploit.Attack.ghttpd_request reference in
-           let victim = Apps.Ghttpd.setup ~aslr_seed:Exploit.Ablation.aslr_seed () in
-           Apps.Ghttpd.serve victim ~request));
-    Test.make ~name:"lint/absint-readpostdata"
-      (stage (fun () ->
-           Staticcheck.Absint.analyze ~config:Staticcheck.Linter.corpus_config
-             Minic.Corpus.read_post_data_buggy));
-    Test.make ~name:"lint/validate-tTflag"
-      (stage (fun () ->
-           Staticcheck.Linter.lint ~config:Staticcheck.Linter.corpus_config
-             Minic.Corpus.tTflag_vulnerable));
-    Test.make ~name:"lint/corpus-sweep"
-      (stage (fun () -> Staticcheck.Linter.corpus_sweep ()));
-    Test.make ~name:"resilience/raw-sweep"
-      (stage (fun () -> Staticcheck.Linter.corpus_sweep ()));
-    Test.make ~name:"resilience/supervised-sweep"
-      (stage (fun () -> Staticcheck.Linter.supervised_sweep ~parallel:true ()));
-    Test.make ~name:"resilience/retry-schedule"
-      (stage (fun () -> Resilience.Retry.delays Resilience.Retry.default));
-    Test.make ~name:"resilience/breaker-trip-cycle"
-      (stage (fun () ->
-           let b = Resilience.Breaker.create ~resource:"bench" () in
-           for t = 0 to 2 do
-             if Resilience.Breaker.acquire b ~now:t then
-               Resilience.Breaker.failure b ~now:t ~cause:"bench fault"
-           done;
-           Resilience.Breaker.state b)) ]
-
-let run_benchmarks () =
-  section "BECHAMEL -- micro-benchmarks (ns per run, OLS estimate)";
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.2) ~kde:None () in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let run_group group_name tests =
-    Format.printf "@.[%s]@." group_name;
-    let grouped = Test.make_grouped ~name:group_name tests in
-    let raw = Benchmark.all cfg [ Instance.monotonic_clock ] grouped in
-    let results = Analyze.all ols Instance.monotonic_clock raw in
-    let rows =
-      Hashtbl.fold
-        (fun name ols acc ->
-           let estimate =
-             match Analyze.OLS.estimates ols with
-             | Some (e :: _) -> e
-             | Some [] | None -> nan
-           in
-           let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols) in
-           (name, estimate, r2) :: acc)
-        results []
-      |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-    in
-    List.iter
-      (fun (name, estimate, r2) ->
-         Format.printf "  %-44s %14.1f ns/run   (r² = %.3f)@." name estimate r2;
-         record ~section:("BECHAMEL-" ^ group_name) (name ^ "-ns") estimate)
-      rows
-  in
-  run_group "experiments" experiment_tests;
-  run_group "substrate" substrate_tests
-
 let usage () =
   prerr_endline
     "usage: bench [--smoke] [--json [FILE]] [--compare FILE] [--threshold PCT]\n\
@@ -1691,8 +1457,7 @@ let () =
     serve_bench ();
     store_bench ();
     perf_bench ();
-    corpus_bench ();
-    run_benchmarks ()
+    corpus_bench ()
   end;
   (match !json_out with Some path -> write_json path | None -> ());
   Par.teardown ();

@@ -234,7 +234,9 @@ let metrics jobs store json =
   in
   let snap = Obs.Metrics.snapshot () in
   let memo = Pfsm.Analysis.memo_stats () in
-  let store_stats = Option.map Store.Disk.stats (Store.Handle.get ()) in
+  let store_stats =
+    Option.map (fun _ -> Store.Disk.stats ()) (Store.Handle.get ())
+  in
   if json then
     print_endline
       (Json.to_string ~layout:Indented

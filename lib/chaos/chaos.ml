@@ -88,6 +88,7 @@ let run ?(seed = default_seed) ?(plans = Fault.Catalog.all)
      stay deterministic because misses = distinct (model, scenario)
      digests regardless of which plan computes a shared key first. *)
   Pfsm.Analysis.memo_reset ();
+  let before = Pfsm.Analysis.memo_stats () in
   let csv = match csv with Some s -> s | None -> Lazy.force curated_csv in
   let runs =
     Par.map_list ~label:"chaos.plans"
@@ -100,10 +101,14 @@ let run ?(seed = default_seed) ?(plans = Fault.Catalog.all)
          run_one ~config:{ config with Supervisor.retry } ~csv plan)
       plans
   in
+  let after = Pfsm.Analysis.memo_stats () in
   { seed;
     retry_max = config.Supervisor.retry.Resilience.Retry.max_attempts;
     runs;
-    memo = Pfsm.Analysis.memo_stats () }
+    memo =
+      { lookups = after.lookups - before.lookups;
+        hits = after.hits - before.hits;
+        misses = after.misses - before.misses } }
 
 let leg_violations retry_max (pr : plan_run) (l : leg) =
   let where =
@@ -401,13 +406,15 @@ let disk_run_one ~seed:_ plan =
   let reference = sweep () in
   let dir = fresh_store_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let since before = Store.Disk.sub_stats (Store.Disk.stats ()) before in
   let (faulted_jsons, disk_store), events =
     Fault.Hooks.run plan (fun () ->
+        let before = Store.Disk.stats () in
         let disk = Store.Disk.open_ ~dir in
         Store.Handle.with_store (Some disk) (fun () ->
             let cold = sweep () in
             let warm = sweep () in
-            ([ cold; warm ], Store.Disk.stats disk)))
+            ([ cold; warm ], since before)))
   in
   let fsck =
     let disk = Store.Disk.open_ ~dir in
@@ -416,10 +423,11 @@ let disk_run_one ~seed:_ plan =
     r
   in
   let post_disk = Store.Disk.open_ ~dir in
+  let before = Store.Disk.stats () in
   let post_json, post_repair =
     Store.Handle.with_store (Some post_disk) (fun () ->
         let j = sweep () in
-        (j, Store.Disk.stats post_disk))
+        (j, since before))
   in
   { disk_plan = plan;
     disk_events = List.length events;

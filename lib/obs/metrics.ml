@@ -158,8 +158,10 @@ let reset () =
         !(m.cells))
     registry
 
-(* test hooks *)
-let counter_value m = match fold_metric m with Counter_v n -> n | _ -> 0
+let counter_value m =
+  match locked (fun () -> fold_metric m) with Counter_v n -> n | _ -> 0
+
+(* test hook *)
 let per_domain_counts m = locked (fun () -> List.map (fun c -> c.n) !(m.cells))
 
 (* ---- rendering ----------------------------------------------------- *)

@@ -20,6 +20,13 @@ val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 
+val counter_value : counter -> int
+(** The folded total of one counter (0 for other kinds): the typed
+    read behind every stats record ([Pfsm.Analysis.memo_stats],
+    [Store.Disk.stats]).  It is exact once the parallel work that
+    bumped the counter has joined; a phase reports the difference of
+    two reads. *)
+
 val gauge : string -> gauge
 
 val observe_gauge : gauge -> int -> unit
@@ -58,9 +65,6 @@ val to_json : snapshot -> Json.t
 val pp : Format.formatter -> snapshot -> unit
 
 (** {2 Test hooks} *)
-
-val counter_value : counter -> int
-(** Folded total of one counter (0 for other kinds). *)
 
 val per_domain_counts : counter -> int list
 (** The raw per-domain cells, unsummed — the snapshot total must equal

@@ -120,94 +120,60 @@ let run_schedules ?budget ~init ~check ~total schedules =
    and a node whose enabled transitions are all asleep emits nothing —
    its schedules are permutations of branches already explored.
 
-   [schedules_por_ref] is the original list-of-int representation of
-   the sleep and explored sets, kept as the executable specification:
-   the production [schedules_por] packs both sets into int bitmasks
+   The sleep set, the explored-before-i set and the enabled set are
+   each one immediate int, with process indices as bit positions
    (membership = one [land], union = one [lor], per-branch allocation
-   zero) and must stay schedule-for-schedule identical to it — the
-   differential qcheck property and the bench before/after leg both
-   run the two side by side. *)
-let schedules_por_ref ~independent procs =
-  let procs = Array.of_list (List.filter (fun p -> p <> []) procs) in
-  let n = Array.length procs in
-  let indices = List.init n Fun.id in
-  let rec go rem sleep () =
-    let enabled = List.filter (fun i -> rem.(i) <> []) indices in
-    if enabled = [] then Seq.Cons ([], Seq.empty)
-    else begin
-      let rec branches explored = function
-        | [] -> Seq.Nil
-        | i :: rest when List.mem i sleep -> branches explored rest
-        | i :: rest ->
-            let s = List.hd rem.(i) in
-            let rem' = Array.copy rem in
-            rem'.(i) <- List.tl rem.(i);
-            let child_sleep =
-              List.filter
-                (fun j -> independent (List.hd rem.(j)).effects s.effects)
-                (sleep @ List.rev explored)
-            in
-            Seq.append
-              (Seq.map (fun sched -> s :: sched) (go rem' child_sleep))
-              (fun () -> branches (i :: explored) rest)
-              ()
-      in
-      branches [] enabled
-    end
-  in
-  go procs []
+   zero).  Branches are taken in ascending process index.  The
+   original list-of-int version of the same recurrence is the test
+   oracle [Scheduler_ref]; the two must stay schedule-for-schedule
+   identical.  More processes than bits in an int would need wider
+   masks; no model comes close, so that case is an [Invalid_argument]
+   rather than dead multi-word code. *)
+let max_por_procs = Sys.int_size - 1
 
-(* Bitmask variant: process indices are bit positions, so the sleep
-   set, the explored-before-i set and the enabled set are each one
-   immediate int.  Branch order (ascending process index) and the
-   sleep-set recurrence are exactly [schedules_por_ref]'s, so the
-   emitted schedule sequence is identical element for element; only
-   the per-node set bookkeeping changes (no list cells, no [@],
-   no [List.mem] scans on the hot path).  More processes than bits in
-   an int would need wider masks; no model comes close, so that case
-   falls back to the reference implementation rather than carrying
-   dead multi-word code. *)
 let schedules_por ~independent procs =
   let arr = Array.of_list (List.filter (fun p -> p <> []) procs) in
   let n = Array.length arr in
-  if n > Sys.int_size - 1 then schedules_por_ref ~independent procs
-  else
-    let rec go rem sleep () =
-      let enabled = ref 0 in
-      for i = n - 1 downto 0 do
-        if rem.(i) <> [] then enabled := !enabled lor (1 lsl i)
-      done;
-      if !enabled = 0 then Seq.Cons ([], Seq.empty)
-      else begin
-        let enabled = !enabled in
-        (* [explored] holds the awake branches already taken at this
-           node (bits below [i] only, by construction of the scan) *)
-        let rec branches explored i =
-          if i >= n then Seq.Nil
-          else if enabled land (1 lsl i) = 0 || sleep land (1 lsl i) <> 0
-          then branches explored (i + 1)
-          else begin
-            let s = List.hd rem.(i) in
-            let rem' = Array.copy rem in
-            rem'.(i) <- List.tl rem.(i);
-            let candidates = sleep lor explored in
-            let child_sleep = ref 0 in
-            for j = 0 to n - 1 do
-              if
-                candidates land (1 lsl j) <> 0
-                && independent (List.hd rem.(j)).effects s.effects
-              then child_sleep := !child_sleep lor (1 lsl j)
-            done;
-            Seq.append
-              (Seq.map (fun sched -> s :: sched) (go rem' !child_sleep))
-              (fun () -> branches (explored lor (1 lsl i)) (i + 1))
-              ()
-          end
-        in
-        branches 0 0
-      end
-    in
-    go arr 0
+  if n > max_por_procs then
+    invalid_arg
+      (Printf.sprintf
+         "Scheduler.schedules_por: %d processes (at most %d)" n max_por_procs);
+  let rec go rem sleep () =
+    let enabled = ref 0 in
+    for i = n - 1 downto 0 do
+      if rem.(i) <> [] then enabled := !enabled lor (1 lsl i)
+    done;
+    if !enabled = 0 then Seq.Cons ([], Seq.empty)
+    else begin
+      let enabled = !enabled in
+      (* [explored] holds the awake branches already taken at this
+         node (bits below [i] only, by construction of the scan) *)
+      let rec branches explored i =
+        if i >= n then Seq.Nil
+        else if enabled land (1 lsl i) = 0 || sleep land (1 lsl i) <> 0
+        then branches explored (i + 1)
+        else begin
+          let s = List.hd rem.(i) in
+          let rem' = Array.copy rem in
+          rem'.(i) <- List.tl rem.(i);
+          let candidates = sleep lor explored in
+          let child_sleep = ref 0 in
+          for j = 0 to n - 1 do
+            if
+              candidates land (1 lsl j) <> 0
+              && independent (List.hd rem.(j)).effects s.effects
+            then child_sleep := !child_sleep lor (1 lsl j)
+          done;
+          Seq.append
+            (Seq.map (fun sched -> s :: sched) (go rem' !child_sleep))
+            (fun () -> branches (explored lor (1 lsl i)) (i + 1))
+            ()
+        end
+      in
+      branches 0 0
+    end
+  in
+  go arr 0
 
 (* Pick the head of any non-empty sequence as the next step, recurse. *)
 let rec merge_all_seq seqs () =

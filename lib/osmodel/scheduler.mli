@@ -107,16 +107,10 @@ val schedules_por :
   'st step list Seq.t
 (** The sleep-set enumeration behind [schedules_n ~independent].
     Sleep and explored sets are int bitmasks over process indices —
-    zero allocation per branch decision. *)
-
-val schedules_por_ref :
-  independent:(Effect.t list -> Effect.t list -> bool) ->
-  'st step list list ->
-  'st step list Seq.t
-(** Executable specification of {!schedules_por}: the original
-    int-list sleep sets.  Schedule-for-schedule identical output; kept
-    for the differential property tests and the before/after bench
-    legs, not for production use. *)
+    zero allocation per branch decision.  Empty processes are dropped
+    first.
+    @raise Invalid_argument when more than [Sys.int_size - 1]
+    non-empty processes remain (one bit each). *)
 
 val run_schedules :
   ?budget:Fault.Budget.t ->

@@ -29,8 +29,8 @@ type report = {
    The cache is compute-once: the first caller of a key publishes a
    [Computing] marker and evaluates outside the lock; concurrent
    callers of the same key block on the condvar instead of recomputing.
-   That keeps the counters deterministic under any scheduling:
-   [misses] = distinct keys, [hits] = lookups − misses. *)
+   That keeps the [pfsm.memo.*] counters deterministic under any
+   scheduling: [misses] = distinct keys, [hits] = lookups − misses. *)
 
 type memo_stats = { lookups : int; hits : int; misses : int }
 
@@ -39,15 +39,13 @@ type memo_cell = Computing | Done of Trace.t
 let memo_lock = Mutex.create ()
 let memo_cond = Condition.create ()
 let memo_table : (string, memo_cell) Hashtbl.t = Hashtbl.create 512
-let memo_lookups = ref 0
-let memo_hits = ref 0
-let memo_misses = ref 0
 
 let analyze_allocs = Obs.Allocs.scope "pfsm.analyze"
 
 let m_lookups = Obs.Metrics.counter "pfsm.memo.lookups"
 let m_hits = Obs.Metrics.counter "pfsm.memo.hits"
 let m_misses = Obs.Metrics.counter "pfsm.memo.misses"
+let m_digest_evictions = Obs.Metrics.counter "pfsm.memo.digest_evictions"
 
 (* Identity-keyed model-digest cache, bounded.
 
@@ -66,21 +64,6 @@ let digest_ring : digest_slot option array =
   Array.make digest_cache_capacity None
 
 let digest_next = ref 0 (* next insertion slot, under [memo_lock] *)
-let digest_evictions = ref 0
-
-type digest_cache_stats = { entries : int; capacity : int; evictions : int }
-
-let digest_cache_stats () =
-  Mutex.lock memo_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock memo_lock)
-    (fun () ->
-      let entries =
-        Array.fold_left
-          (fun acc s -> match s with Some _ -> acc + 1 | None -> acc)
-          0 digest_ring
-      in
-      { entries; capacity = digest_cache_capacity; evictions = !digest_evictions })
 
 let digest_find_locked model =
   let found = ref None in
@@ -111,7 +94,8 @@ let model_digest model =
           (* a duplicate insert under a race is harmless (same digest) *)
           if digest_find_locked model = None then begin
             let i = !digest_next in
-            if digest_ring.(i) <> None then incr digest_evictions;
+            if digest_ring.(i) <> None then
+              Obs.Metrics.incr m_digest_evictions;
             digest_ring.(i) <- Some { d_model = model; d_digest = d };
             digest_next := (i + 1) mod digest_cache_capacity
           end);
@@ -132,31 +116,22 @@ let memo_keys model env =
 let store_tag = "pfsm-trace"
 
 let memo_stats () =
-  Mutex.lock memo_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock memo_lock)
-    (fun () ->
-      { lookups = !memo_lookups; hits = !memo_hits; misses = !memo_misses })
+  let v = Obs.Metrics.counter_value in
+  { lookups = v m_lookups; hits = v m_hits; misses = v m_misses }
 
 let memo_reset () =
   Mutex.lock memo_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock memo_lock)
-    (fun () ->
-      Hashtbl.reset memo_table;
-      memo_lookups := 0;
-      memo_hits := 0;
-      memo_misses := 0)
+    (fun () -> Hashtbl.reset memo_table)
 
 let run_memo model ~env =
   let key, key_hex = memo_keys model env in
   Mutex.lock memo_lock;
-  incr memo_lookups;
   Obs.Metrics.incr m_lookups;
   let rec acquire () =
     match Hashtbl.find_opt memo_table key with
     | Some (Done trace) ->
-        incr memo_hits;
         Obs.Metrics.incr m_hits;
         Mutex.unlock memo_lock;
         trace
@@ -164,7 +139,6 @@ let run_memo model ~env =
         Condition.wait memo_cond memo_lock;
         acquire ()
     | None -> (
-        incr memo_misses;
         Obs.Metrics.incr m_misses;
         Hashtbl.replace memo_table key Computing;
         Mutex.unlock memo_lock;

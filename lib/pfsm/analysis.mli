@@ -37,8 +37,9 @@ val analyze : ?par:bool -> ?memo:bool -> Model.t -> scenarios:Env.t list -> repo
     identity (a model is analyzed against many scenarios), so a warm
     lookup pays only the small scenario digest.  Compute-once:
     concurrent lookups of one key block rather than recompute, which
-    keeps the counters deterministic under any scheduling
-    ([misses] = distinct keys ever computed). *)
+    keeps the counters deterministic under any scheduling (after a
+    {!memo_reset}, a phase's [misses] = the distinct keys it
+    computed). *)
 
 val run_memo : Model.t -> env:Env.t -> Trace.t
 (** Memoized [Model.run].  When an ambient {!Store.Handle} is
@@ -52,19 +53,19 @@ val run_memo : Model.t -> env:Env.t -> Trace.t
 type memo_stats = { lookups : int; hits : int; misses : int }
 
 val memo_stats : unit -> memo_stats
-
-type digest_cache_stats = { entries : int; capacity : int; evictions : int }
-
-val digest_cache_stats : unit -> digest_cache_stats
-(** The identity-keyed model-digest cache is a fixed-capacity FIFO
-    ring ([entries <= capacity] always — the unbounded assoc list it
-    replaces retained every model forever).  An eviction only costs a
-    digest recompute, never a wrong answer. *)
+(** The process-wide [pfsm.memo.lookups], [pfsm.memo.hits] and
+    [pfsm.memo.misses] counters of {!Obs.Metrics}, read as a record.
+    They only grow (until [Obs.Metrics.reset]); a harness reporting
+    one phase diffs a read taken before it against one taken after.
+    The model-digest cache is a fixed-capacity FIFO ring of 64 models;
+    each eviction (a later digest recompute, never a wrong answer)
+    counts in [pfsm.memo.digest_evictions]. *)
 
 val memo_reset : unit -> unit
-(** Drop all entries and zero the counters — run this at the start of
-    a harness whose output includes the counters, so consecutive runs
-    report identical numbers. *)
+(** Drop every memo entry, so the next lookup of any key misses.  Run
+    this at the start of a harness whose output includes a phase's
+    counters, so consecutive runs report identical numbers.  The
+    counters themselves are not touched. *)
 
 val exploited : report -> (Env.t * Trace.t) list
 

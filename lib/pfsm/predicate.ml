@@ -121,12 +121,9 @@ let between t ~low ~high =
    happens at model-construction time, never on the [holds] hot
    path. *)
 
-type intern_stats = { distinct : int; hits : int }
-
 let hc_lock = Mutex.create ()
 let hc_terms : (term, term) Hashtbl.t = Hashtbl.create 256
 let hc_preds : (t, t) Hashtbl.t = Hashtbl.create 256
-let hc_hits = ref 0
 
 (* Dense intern ids, assigned in canonization order.  An id is stable
    for the life of the process (canonical nodes are never evicted),
@@ -144,7 +141,6 @@ let m_hc_hits = Obs.Metrics.counter "pfsm.hashcons.hits"
 let canon table key =
   match Hashtbl.find_opt table key with
   | Some v ->
-      incr hc_hits;
       Obs.Metrics.incr m_hc_hits;
       v
   | None ->
@@ -155,7 +151,6 @@ let canon table key =
 let canon_pred key =
   match Hashtbl.find_opt hc_preds key with
   | Some v ->
-      incr hc_hits;
       Obs.Metrics.incr m_hc_hits;
       v
   | None ->
@@ -235,14 +230,6 @@ let max_id () =
   Fun.protect ~finally:(fun () -> Mutex.unlock hc_lock) (fun () -> !hc_next_id)
 
 let equal p q = p == q || p = q
-
-let intern_stats () =
-  Mutex.lock hc_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock hc_lock)
-    (fun () ->
-      { distinct = Hashtbl.length hc_preds + Hashtbl.length hc_terms;
-        hits = !hc_hits })
 
 let rec pp_term ppf = function
   | Self -> Format.pp_print_string ppf "self"

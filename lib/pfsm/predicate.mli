@@ -66,7 +66,9 @@ val intern : t -> t
     marshal image of an interned model depend on structure alone —
     the property the analysis-memo digest key relies on.  Thread-safe;
     called once at construction time ({!Primitive.make}), never on the
-    evaluation hot path. *)
+    evaluation hot path.  New canonical nodes count in
+    [pfsm.hashcons.distinct] and lookups that find one in
+    [pfsm.hashcons.hits] ({!Obs.Metrics}). *)
 
 val equal : t -> t -> bool
 (** Structural equality with a physical fast path (free after
@@ -89,12 +91,6 @@ val of_id : int -> t option
 val max_id : unit -> int
 (** One past the largest id assigned so far (= distinct canonical
     predicates interned). *)
-
-type intern_stats = { distinct : int; hits : int }
-
-val intern_stats : unit -> intern_stats
-(** [distinct] canonical nodes live in the tables; [hits] lookups that
-    found an existing node. *)
 
 val pp_term : Format.formatter -> term -> unit
 

@@ -15,16 +15,23 @@ type t = {
 (* One line per completion: "<attempts> <escaped id>", written under a
    {!Store.Record.seal_line} checksum.  Escaping keeps ids with spaces
    and newlines on one journal line; the seal turns silent corruption
-   into a detected, classified skip. *)
+   into a detected, classified skip.  [mark] only writes [%d] of a
+   count >= 1, so anything but decimal digits of such a value is
+   damage too. *)
 let line_of ~id ~attempts = Printf.sprintf "%d %s" attempts (String.escaped id)
+
+let parse_attempts s =
+  if s = "" || not (String.for_all (function '0' .. '9' -> true | _ -> false) s)
+  then None
+  else
+    match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None
 
 let parse_line line =
   match String.index_opt line ' ' with
   | None -> None
   | Some i -> (
-      let attempts = String.sub line 0 i in
       let id = String.sub line (i + 1) (String.length line - i - 1) in
-      match int_of_string_opt attempts with
+      match parse_attempts (String.sub line 0 i) with
       | None -> None
       | Some attempts -> (
           match Scanf.unescaped id with
@@ -60,15 +67,7 @@ let load path =
     List.iteri
       (fun i line ->
         let line_no = i + 1 in
-        (* sealed lines verify end-to-end; bare lines are accepted for
-           journals written before sealing existed *)
-        let parsed =
-          match Store.Record.unseal_line line with
-          | `Sealed content -> parse_line content
-          | `Unsealed -> parse_line line
-          | `Mismatch -> None
-        in
-        match parsed with
+        match Option.bind (Store.Record.unseal_line line) parse_line with
         | Some (id, attempts) -> record t id attempts
         | None ->
             (* never silently dropped — counted, surfaced, and

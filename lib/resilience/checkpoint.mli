@@ -14,12 +14,13 @@ val in_memory : unit -> t
 
 val load : string -> t
 (** A file-backed journal at this path; existing entries are read
-    back, later {!mark}s are appended and flushed immediately (each
-    line carrying a per-line checksum; unsealed lines from journals
-    written before sealing existed are still accepted).  The file is
-    created on the first mark if absent.  Lines that fail their
-    checksum or do not parse — a torn final line after a crash, or
-    corruption — are never silently dropped: they are counted,
+    back, later {!mark}s are appended and flushed immediately, each
+    line sealed with a per-line checksum.  The file is created on the
+    first mark if absent.  Only a sealed line that verifies and parses
+    (an attempt count of decimal digits >= 1, then the escaped id)
+    loads.  Every other line — a torn final line after a crash,
+    corruption, or a bare line from a journal written before sealing
+    existed — is never silently dropped: it is counted,
     surfaced through {!skipped} / {!skipped_lines}, and classified by
     {!skipped_detail}.  Journal appends go through the store's
     fault-injection seam, so durability plans exercise the resume

@@ -117,7 +117,7 @@ let run ?(config = default_config) ~emit source =
   Obs.Span.with_span ~cat:"serve" "serve" @@ fun () ->
   let queue : pending Admission.t = Admission.create ~capacity:config.capacity in
   let store_at_start =
-    Option.map Store.Disk.stats (Store.Handle.get ())
+    Option.map (fun _ -> Store.Disk.stats ()) (Store.Handle.get ())
   in
   let store_degraded = ref 0 in
   let vt = ref 0 in
@@ -166,12 +166,12 @@ let run ?(config = default_config) ~emit source =
     let observed_invoke ~attempt =
       match Store.Handle.get () with
       | None -> invoke_handler p ~attempt
-      | Some disk ->
-          let before = Store.Disk.stats disk in
+      | Some _ ->
+          let before = Store.Disk.stats () in
           Fun.protect
             (fun () -> invoke_handler p ~attempt)
             ~finally:(fun () ->
-              let after = Store.Disk.stats disk in
+              let after = Store.Disk.stats () in
               if
                 (not !degraded)
                 && (after.Store.Disk.corrupt > before.Store.Disk.corrupt
@@ -371,8 +371,8 @@ let run ?(config = default_config) ~emit source =
           journal_skipped = 0 };
       store =
         (match (store_at_start, Store.Handle.get ()) with
-        | Some before, Some disk ->
-            Some (Store.Disk.sub_stats (Store.Disk.stats disk) before)
+        | Some before, Some _ ->
+            Some (Store.Disk.sub_stats (Store.Disk.stats ()) before)
         | _ -> None);
       store_degraded = !store_degraded }
   in

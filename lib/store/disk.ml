@@ -7,10 +7,6 @@ type stats = {
   write_failures : int;
 }
 
-let zero_stats =
-  { hits = 0; misses = 0; corrupt = 0; repaired = 0; writes = 0;
-    write_failures = 0 }
-
 let stats_to_json s =
   Json.(
     Obj
@@ -26,8 +22,8 @@ let sub_stats a b =
     writes = a.writes - b.writes;
     write_failures = a.write_failures - b.write_failures }
 
-(* Process-wide metrics (one registry for every handle) plus
-   per-handle atomics so a phase can diff its own store's numbers. *)
+(* Process-wide metrics, one registry for every handle: a phase diffs
+   two [stats] reads. *)
 let m_hits = Obs.Metrics.counter "store.hits"
 let m_misses = Obs.Metrics.counter "store.misses"
 let m_corrupt = Obs.Metrics.counter "store.corrupt"
@@ -40,17 +36,7 @@ type t = {
   lock : Mutex.t;  (* manifest channel + needs_repair table *)
   mutable manifest : out_channel option;
   needs_repair : (string, unit) Hashtbl.t;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  corrupt : int Atomic.t;
-  repaired : int Atomic.t;
-  writes : int Atomic.t;
-  write_failures : int Atomic.t;
 }
-
-let bump cell metric =
-  Atomic.incr cell;
-  Obs.Metrics.incr metric
 
 let locked t f =
   Mutex.lock t.lock;
@@ -88,23 +74,18 @@ let open_ ~dir =
   { root = dir;
     lock = Mutex.create ();
     manifest = None;
-    needs_repair = Hashtbl.create 16;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    corrupt = Atomic.make 0;
-    repaired = Atomic.make 0;
-    writes = Atomic.make 0;
-    write_failures = Atomic.make 0 }
+    needs_repair = Hashtbl.create 16 }
 
 let dir t = t.root
 
-let stats t =
-  { hits = Atomic.get t.hits;
-    misses = Atomic.get t.misses;
-    corrupt = Atomic.get t.corrupt;
-    repaired = Atomic.get t.repaired;
-    writes = Atomic.get t.writes;
-    write_failures = Atomic.get t.write_failures }
+let stats () =
+  let v = Obs.Metrics.counter_value in
+  { hits = v m_hits;
+    misses = v m_misses;
+    corrupt = v m_corrupt;
+    repaired = v m_repaired;
+    writes = v m_writes;
+    write_failures = v m_write_failures }
 
 let close t =
   locked t (fun () ->
@@ -137,7 +118,7 @@ let append_manifest t key =
 let mark_needs_repair t key = locked t (fun () -> Hashtbl.replace t.needs_repair key ())
 
 let evict t ~key =
-  bump t.corrupt m_corrupt;
+  Obs.Metrics.incr m_corrupt;
   Io.remove_if_exists (record_path t ~key);
   mark_needs_repair t key
 
@@ -149,7 +130,7 @@ let find t ~key =
   let path = record_path t ~key in
   match Io.read_file path with
   | Error `Enoent ->
-      bump t.misses m_misses;
+      Obs.Metrics.incr m_misses;
       None
   | Error (`Unreadable _) ->
       (* can't even read it: treat as corruption, try to clear it *)
@@ -158,7 +139,7 @@ let find t ~key =
   | Ok raw -> (
       match Record.decode raw with
       | Ok payload ->
-          bump t.hits m_hits;
+          Obs.Metrics.incr m_hits;
           Some payload
       | Error _ ->
           evict t ~key;
@@ -172,16 +153,16 @@ let put t ~key ~payload =
       (Printf.sprintf "%s.%d.tmp" key (Par.unique_tag ()))
   in
   match Io.commit ~tmp ~dest (Record.encode payload) with
-  | Error _ -> bump t.write_failures m_write_failures
+  | Error _ -> Obs.Metrics.incr m_write_failures
   | Ok () ->
-      bump t.writes m_writes;
+      Obs.Metrics.incr m_writes;
       let was_corrupt =
         locked t (fun () ->
             let b = Hashtbl.mem t.needs_repair key in
             if b then Hashtbl.remove t.needs_repair key;
             b)
       in
-      if was_corrupt then bump t.repaired m_repaired;
+      if was_corrupt then Obs.Metrics.incr m_repaired;
       append_manifest t key
 
 let object_files t = Io.files_under (objects_dir t)
@@ -193,14 +174,11 @@ let manifest_keys t =
       let seen = Hashtbl.create 64 in
       String.split_on_char '\n' data
       |> List.filter_map (fun line ->
-             if line = "" then None
-             else
-               match Record.unseal_line line with
-               | `Sealed key when valid_key key && not (Hashtbl.mem seen key)
-                 ->
-                   Hashtbl.add seen key ();
-                   Some key
-               | `Sealed _ | `Mismatch | `Unsealed -> None)
+             match Record.unseal_line line with
+             | Some key when valid_key key && not (Hashtbl.mem seen key) ->
+                 Hashtbl.add seen key ();
+                 Some key
+             | Some _ | None -> None)
 
 let rewrite_manifest t ~keys =
   close t;

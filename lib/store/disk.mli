@@ -34,8 +34,6 @@ type stats = {
   write_failures : int;
 }
 
-val zero_stats : stats
-
 val stats_to_json : stats -> Json.t
 
 val sub_stats : stats -> stats -> stats
@@ -68,9 +66,11 @@ val note_corrupt : t -> key:string -> unit
     image, wrong tag): evict and account it like record-level
     corruption, so the rewrite counts as a repair. *)
 
-val stats : t -> stats
-(** This handle's counters.  The same totals stream into the
-    process-wide [Obs.Metrics] registry as [store.*]. *)
+val stats : unit -> stats
+(** The process-wide [store.*] counters of {!Obs.Metrics}, read as a
+    record: they count across every handle the process opened, since
+    the last [Obs.Metrics.reset].  A phase reports the {!sub_stats} of
+    a read taken after it and one taken before. *)
 
 val record_path : t -> key:string -> string
 (** Absolute path of the record file for [key] (tests, fsck). *)

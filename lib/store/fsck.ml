@@ -99,8 +99,8 @@ let scan ?(repair = false) store =
             if line = "" then n
             else
               match Record.unseal_line line with
-              | `Sealed k when Disk.valid_key k -> n
-              | `Sealed _ | `Mismatch | `Unsealed -> n + 1)
+              | Some k when Disk.valid_key k -> n
+              | Some _ | None -> n + 1)
           0
           (String.split_on_char '\n' data)
   in

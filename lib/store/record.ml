@@ -66,16 +66,12 @@ let seal_line line =
 
 let unseal_line l =
   let n = String.length l in
-  if n >= 33 && l.[32] = ' ' && all_hex (String.sub l 0 32) then begin
+  if n >= 33 && l.[32] = ' ' then
     let content = String.sub l 33 (n - 33) in
     if Digest.to_hex (Digest.string content) = String.sub l 0 32 then
-      `Sealed content
-    else `Mismatch
-  end
-  else if n >= 1 && n <= 33 && all_hex (String.sub l 0 (min n 32)) then
-    (* a truncated seal prefix: framing present but unverifiable *)
-    `Mismatch
-  else `Unsealed
+      Some content
+    else None
+  else None
 
 module For_testing = struct
   let encode_with_version = encode_with_version

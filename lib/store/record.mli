@@ -38,16 +38,16 @@ val decode : string -> (string, error) result
 
     A one-line variant of the same idea for append-only journals
     (checkpoint, manifest): [seal_line l] prefixes [l] with the MD5 of
-    its content, so a reader can tell a corrupted line from a merely
-    torn one.  [l] must not contain a newline. *)
+    its content, so a reader takes a line only when it verifies — a
+    corrupted or torn line is detected, never parsed.  [l] must not
+    contain a newline. *)
 
 val seal_line : string -> string
 
-val unseal_line : string -> [ `Sealed of string | `Mismatch | `Unsealed ]
-(** [`Sealed content] — a sealed line whose digest verifies;
-    [`Mismatch] — sealed framing whose digest (or truncated content)
-    does not verify; [`Unsealed] — no seal framing at all (a legacy or
-    foreign line: the caller decides how to parse it). *)
+val unseal_line : string -> string option
+(** [Some content] for a sealed line whose digest verifies; [None] for
+    anything else — a corrupted or torn line, a truncated seal prefix,
+    and a bare line that carries no seal at all. *)
 
 (** Test seam: frame a payload under an arbitrary codec version. *)
 module For_testing : sig

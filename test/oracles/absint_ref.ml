@@ -5,6 +5,7 @@
    finding (and benchmarked against it).  Emits {!Absint.raw} values,
    so results from the two interpreters compare structurally. *)
 
+open Staticcheck
 module A = Minic.Ast
 module I = Interval
 module V = Absval

@@ -1,4 +1,4 @@
-(** Executable specification of {!Absint}.
+(** Executable specification of {!Staticcheck.Absint}.
 
     The original abstract interpreter, verbatim: string-keyed
     [Map.Make (String)] environments and a per-store [List.assoc_opt]
@@ -9,6 +9,7 @@
     the bench harness times them side by side — do not "optimize"
     this copy. *)
 
-val analyze : ?config:Absint.config -> Minic.Ast.func -> Absint.result
+val analyze :
+  ?config:Staticcheck.Absint.config -> Minic.Ast.func -> Staticcheck.Absint.result
 (** Same result, path for path and count for count, as
-    {!Absint.analyze}. *)
+    {!Staticcheck.Absint.analyze}. *)

@@ -200,11 +200,11 @@ let test_warm_sweep_incremental () =
             Corpus.Pipeline.to_json (run_exn ~seed:3 ~total:1200 ~chunk:128 ())
           in
           Alcotest.(check string) "cold = store-less" reference cold;
-          let before = Store.Disk.stats s in
+          let before = Store.Disk.stats () in
           let warm =
             Corpus.Pipeline.to_json (run_exn ~seed:3 ~total:1200 ~chunk:128 ())
           in
-          let d = Store.Disk.sub_stats (Store.Disk.stats s) before in
+          let d = Store.Disk.sub_stats (Store.Disk.stats ()) before in
           Alcotest.(check string) "warm = store-less" reference warm;
           Alcotest.(check int) "warm recomputes nothing" 0 d.Store.Disk.misses;
           Alcotest.(check int) "warm writes nothing" 0 d.Store.Disk.writes;

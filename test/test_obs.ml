@@ -208,19 +208,19 @@ let test_registration_idempotent () =
 
 let test_digest_cache_bounded () =
   let env = Apps.Iis.scenario ~path:Apps.Iis.attack_path in
-  let before = Pfsm.Analysis.digest_cache_stats () in
+  let evictions = Obs.Metrics.counter "pfsm.memo.digest_evictions" in
+  let before = Obs.Metrics.counter_value evictions in
   (* every freshly built model is a distinct physical key; overfilling
-     the ring by 8 must evict, never grow (the unbounded assoc list
-     this replaces retained all of them) *)
-  for _ = 1 to before.Pfsm.Analysis.capacity + 8 do
+     the 64-slot ring by 8 must evict at least 8 digests (the unbounded
+     assoc list it replaces retained all of them), and a model whose
+     digest was evicted and recomputed still gets the right trace *)
+  for _ = 1 to 64 + 8 do
     let model = Apps.Iis.model (Apps.Iis.setup ()) in
-    ignore (Pfsm.Analysis.run_memo model ~env)
+    Alcotest.(check bool) "memo trace = Model.run" true
+      (Pfsm.Analysis.run_memo model ~env = Pfsm.Model.run model ~env)
   done;
-  let s = Pfsm.Analysis.digest_cache_stats () in
-  Alcotest.(check bool) "entries <= capacity" true
-    (s.Pfsm.Analysis.entries <= s.Pfsm.Analysis.capacity);
   Alcotest.(check bool) "evictions counted" true
-    (s.Pfsm.Analysis.evictions > before.Pfsm.Analysis.evictions)
+    (Obs.Metrics.counter_value evictions - before >= 8)
 
 (* ---- per-pFSM transition coverage --------------------------------- *)
 

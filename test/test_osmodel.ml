@@ -304,7 +304,7 @@ let schedule_labels seq =
 let check_por_matches_ref name procs =
   Alcotest.(check (list (list string)))
     name
-    (schedule_labels (Sched.schedules_por_ref ~independent:E.independent procs))
+    (schedule_labels (Scheduler_ref.schedules_por ~independent:E.independent procs))
     (schedule_labels (Sched.schedules_por ~independent:E.independent procs))
 
 let test_sched_por_bitmask_matches_ref () =
@@ -319,6 +319,26 @@ let test_sched_por_bitmask_matches_ref () =
   check_por_matches_ref "empty process dropped"
     [ [ append_step "a1" "x" ]; []; [ append_step "b1" "y" ] ];
   check_por_matches_ref "no processes" []
+
+(* One bit per process: past [Sys.int_size - 1] non-empty processes the
+   bitmask enumeration refuses with a typed error. *)
+let test_sched_por_process_limit () =
+  let procs n =
+    List.init n (fun i -> [ append_step (Printf.sprintf "p%d" i) "x" ])
+  in
+  let por n = Sched.schedules_por ~independent:E.independent (procs n) in
+  let limit = Sys.int_size - 1 in
+  Alcotest.check_raises "one process too many"
+    (Invalid_argument
+       (Printf.sprintf "Scheduler.schedules_por: %d processes (at most %d)"
+          (limit + 1) limit))
+    (fun () -> ignore (Seq.is_empty (por (limit + 1))));
+  match Seq.uncons (por limit) with
+  | Some (first, _) ->
+      Alcotest.(check (list string)) "at the limit, process order first"
+        (List.init limit (Printf.sprintf "p%d"))
+        (List.map (fun s -> s.Sched.label) first)
+  | None -> Alcotest.fail "no schedule at the limit"
 
 let prop_por_bitmask_matches_reference =
   let open QCheck in
@@ -342,7 +362,7 @@ let prop_por_bitmask_matches_reference =
        procs)
     (fun procs ->
        schedule_labels (Sched.schedules_por ~independent:E.independent procs)
-       = schedule_labels (Sched.schedules_por_ref ~independent:E.independent procs))
+       = schedule_labels (Scheduler_ref.schedules_por ~independent:E.independent procs))
 
 (* ---- socket ------------------------------------------------------ *)
 
@@ -427,6 +447,7 @@ let () =
            test_sched_por_preserves_final_states;
          Alcotest.test_case "bitmask matches reference" `Quick
            test_sched_por_bitmask_matches_ref;
+         Alcotest.test_case "process limit" `Quick test_sched_por_process_limit;
          QCheck_alcotest.to_alcotest prop_por_bitmask_matches_reference ]);
       ("socket",
        [ Alcotest.test_case "chunked recv" `Quick test_socket_chunked_recv;

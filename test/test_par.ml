@@ -230,27 +230,30 @@ let test_hashcons () =
          (Pfsm.Predicate.Contains
             (Pfsm.Predicate.Decode (2, Pfsm.Predicate.Self), "../")))
   in
+  let hits = Obs.Metrics.counter "pfsm.hashcons.hits" in
   let a = Pfsm.Predicate.intern (p ()) in
+  let before = Obs.Metrics.counter_value hits in
   let b = Pfsm.Predicate.intern (p ()) in
   Alcotest.(check bool) "interned twins are physically equal" true (a == b);
   Alcotest.(check bool) "equal" true (Pfsm.Predicate.equal a b);
-  let stats = Pfsm.Predicate.intern_stats () in
-  Alcotest.(check bool) "intern table populated" true (stats.Pfsm.Predicate.distinct > 0)
+  Alcotest.(check bool) "interning the twin hits the table" true
+    (Obs.Metrics.counter_value hits > before)
 
 let test_memo () =
   let app = Apps.Iis.setup () in
   let model = Apps.Iis.model app in
   let env = Apps.Iis.scenario ~path:Apps.Iis.attack_path in
   Pfsm.Analysis.memo_reset ();
+  let before = Pfsm.Analysis.memo_stats () in
   let t1 = Pfsm.Analysis.run_memo model ~env in
   let t2 = Pfsm.Analysis.run_memo model ~env in
   Alcotest.(check bool) "memo returns the computed trace" true
     (t1 = Pfsm.Model.run model ~env);
   Alcotest.(check bool) "second lookup is the same trace" true (t1 == t2);
   let s = Pfsm.Analysis.memo_stats () in
-  Alcotest.(check int) "lookups" 2 s.Pfsm.Analysis.lookups;
-  Alcotest.(check int) "hits" 1 s.Pfsm.Analysis.hits;
-  Alcotest.(check int) "misses" 1 s.Pfsm.Analysis.misses;
+  Alcotest.(check int) "lookups" 2 (s.lookups - before.Pfsm.Analysis.lookups);
+  Alcotest.(check int) "hits" 1 (s.hits - before.hits);
+  Alcotest.(check int) "misses" 1 (s.misses - before.misses);
   (* an independently built but identical model shares the entry *)
   let model' = Apps.Iis.model (Apps.Iis.setup ()) in
   let t3 = Pfsm.Analysis.run_memo model' ~env in

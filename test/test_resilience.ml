@@ -221,10 +221,25 @@ let test_checkpoint_file () =
   R.Checkpoint.reset reloaded;
   Alcotest.(check bool) "reset removes the file" false (Sys.file_exists path)
 
-let test_checkpoint_skipped_surfaced () =
+(* A journal file holding these lines, each newline-terminated. *)
+let journal_with lines =
   let path = Filename.temp_file "dfsm-test" ".checkpoint" in
   Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc "1 ok\nnot a journal line\n2 also-ok\nx y\n");
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
+  path
+
+let damage cp =
+  List.map
+    (fun (n, d) -> (n, R.Checkpoint.damage_to_string d))
+    (R.Checkpoint.skipped_detail cp)
+
+let test_checkpoint_skipped_surfaced () =
+  (* sealed lines that verify but do not parse as "<attempts> <id>" *)
+  let path =
+    journal_with
+      (List.map Store.Record.seal_line
+         [ "1 ok"; "not a journal line"; "2 also-ok"; "x y" ])
+  in
   let cp = R.Checkpoint.load path in
   Alcotest.(check int) "valid entries load" 2 (R.Checkpoint.count cp);
   Alcotest.(check int) "corrupt lines counted" 2 (R.Checkpoint.skipped cp);
@@ -239,6 +254,39 @@ let test_checkpoint_skipped_surfaced () =
        (R.Checkpoint.skipped_detail cp));
   R.Checkpoint.reset cp;
   Alcotest.(check int) "reset clears the count" 0 (R.Checkpoint.skipped cp)
+
+let test_checkpoint_bare_lines_rejected () =
+  (* a line without a seal carries no checksum: it is damage, never an
+     entry, wherever it sits *)
+  let cp =
+    R.Checkpoint.load
+      (journal_with [ "1 bare-a"; Store.Record.seal_line "2 sealed"; "3 bare-b" ])
+  in
+  Alcotest.(check (list string)) "only the sealed id loads" [ "sealed" ]
+    (R.Checkpoint.ids cp);
+  Alcotest.(check (list (pair int string))) "bare lines are damage"
+    [ (1, "corrupt"); (3, "torn-tail") ]
+    (damage cp);
+  R.Checkpoint.reset cp
+
+let test_checkpoint_attempts_decimal () =
+  (* [mark] writes [%d] of a count >= 1: any other attempts field is
+     damage, even under a seal that verifies *)
+  let cp =
+    R.Checkpoint.load
+      (journal_with
+         (List.map Store.Record.seal_line
+            [ "12 ok"; "0x10 a"; "1_0 b"; "-3 c"; "+2 d"; "0 e" ]))
+  in
+  Alcotest.(check (list string)) "only the decimal count loads" [ "ok" ]
+    (R.Checkpoint.ids cp);
+  Alcotest.(check (option int)) "its attempts" (Some 12)
+    (R.Checkpoint.attempts cp "ok");
+  Alcotest.(check (list (pair int string))) "the rest are damage"
+    [ (2, "corrupt"); (3, "corrupt"); (4, "corrupt"); (5, "corrupt");
+      (6, "torn-tail") ]
+    (damage cp);
+  R.Checkpoint.reset cp
 
 let test_checkpoint_midfile_corruption () =
   (* a sealed journal with one line flipped in the middle: the damaged
@@ -614,6 +662,10 @@ let () =
        [ Alcotest.test_case "file journal round trip" `Quick test_checkpoint_file;
          Alcotest.test_case "corrupt lines surfaced" `Quick
            test_checkpoint_skipped_surfaced;
+         Alcotest.test_case "bare lines rejected" `Quick
+           test_checkpoint_bare_lines_rejected;
+         Alcotest.test_case "attempts are decimal digits >= 1" `Quick
+           test_checkpoint_attempts_decimal;
          Alcotest.test_case "mid-file corruption classified" `Quick
            test_checkpoint_midfile_corruption;
          QCheck_alcotest.to_alcotest prop_torn_journal_resume ]);

@@ -234,7 +234,7 @@ let test_absint_matches_reference_corpus () =
   List.iter
     (fun (name, f) ->
        Alcotest.check sig_t name
-         (result_sig (Staticcheck.Absint_ref.analyze ~config:L.corpus_config f))
+         (result_sig (Absint_ref.analyze ~config:L.corpus_config f))
          (result_sig (Ai.analyze ~config:L.corpus_config f)))
     C.all
 
@@ -245,7 +245,7 @@ let prop_absint_matches_reference_progen =
     (fun seed ->
        let f = G.func ~seed in
        result_sig (Ai.analyze f)
-       = result_sig (Staticcheck.Absint_ref.analyze f))
+       = result_sig (Absint_ref.analyze f))
 
 let () =
   Alcotest.run "staticcheck"

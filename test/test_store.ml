@@ -27,6 +27,10 @@ let with_open_store f =
       let s = S.Disk.open_ ~dir in
       Fun.protect ~finally:(fun () -> S.Disk.close s) (fun () -> f s))
 
+(* The store.* counters are process-wide: a test reads what its own
+   phase added. *)
+let since before = S.Disk.sub_stats (S.Disk.stats ()) before
+
 let key_a = "aabbccdd00112233"
 let key_b = "ffee998877665544"
 
@@ -79,30 +83,34 @@ let test_record_taxonomy () =
 
 let test_sealed_lines () =
   let line = S.Record.seal_line "7 some-id" in
-  (match S.Record.unseal_line line with
-   | `Sealed "7 some-id" -> ()
-   | _ -> Alcotest.fail "sealed line did not verify");
+  Alcotest.(check (option string)) "sealed line verifies" (Some "7 some-id")
+    (S.Record.unseal_line line);
   let b = Bytes.of_string line in
   Bytes.set b (String.length line - 1) '!';
-  (match S.Record.unseal_line (Bytes.to_string b) with
-   | `Mismatch -> ()
-   | _ -> Alcotest.fail "corrupt sealed line verified");
-  match S.Record.unseal_line "7 some-id" with
-  | `Unsealed -> ()
-  | _ -> Alcotest.fail "legacy line not recognized"
+  Alcotest.(check (option string)) "corrupt sealed line" None
+    (S.Record.unseal_line (Bytes.to_string b));
+  List.iter
+    (fun n ->
+       Alcotest.(check (option string)) (Printf.sprintf "torn seal prefix %d" n)
+         None
+         (S.Record.unseal_line (String.sub line 0 n)))
+    (List.init (String.length line) Fun.id);
+  Alcotest.(check (option string)) "bare line" None
+    (S.Record.unseal_line "7 some-id")
 
 (* ---- disk --------------------------------------------------------- *)
 
 let test_disk_roundtrip_and_reopen () =
   with_dir (fun dir ->
       let s = S.Disk.open_ ~dir in
+      let before = S.Disk.stats () in
       Alcotest.(check (option string)) "cold miss" None (S.Disk.find s ~key:key_a);
       S.Disk.put s ~key:key_a ~payload:"alpha";
       S.Disk.put s ~key:key_b ~payload:"beta\nwith newline";
       S.Disk.put s ~key:key_a ~payload:"alpha-v2";
       Alcotest.(check (option string)) "last write wins" (Some "alpha-v2")
         (S.Disk.find s ~key:key_a);
-      let st = S.Disk.stats s in
+      let st = since before in
       Alcotest.(check int) "one miss" 1 st.S.Disk.misses;
       Alcotest.(check int) "one hit" 1 st.S.Disk.hits;
       Alcotest.(check int) "three writes" 3 st.S.Disk.writes;
@@ -133,6 +141,7 @@ let test_disk_key_validation () =
 
 let test_disk_degrades_on_corruption () =
   with_open_store (fun s ->
+      let before = S.Disk.stats () in
       S.Disk.put s ~key:key_a ~payload:"precious";
       (* flip one payload byte on disk behind the store's back *)
       let path = S.Disk.record_path s ~key:key_a in
@@ -144,12 +153,11 @@ let test_disk_degrades_on_corruption () =
       Alcotest.(check (option string)) "corrupt record reads as a miss" None
         (S.Disk.find s ~key:key_a);
       Alcotest.(check bool) "corrupt record evicted" false (Sys.file_exists path);
-      let st = S.Disk.stats s in
-      Alcotest.(check int) "counted corrupt" 1 st.S.Disk.corrupt;
+      Alcotest.(check int) "counted corrupt" 1 (since before).S.Disk.corrupt;
       (* the caller's recompute-and-rewrite is a repair *)
       S.Disk.put s ~key:key_a ~payload:"recomputed";
       Alcotest.(check int) "rewrite counted as repair" 1
-        (S.Disk.stats s).S.Disk.repaired;
+        (since before).S.Disk.repaired;
       Alcotest.(check (option string)) "store healthy again"
         (Some "recomputed")
         (S.Disk.find s ~key:key_a))
@@ -177,6 +185,7 @@ let test_codec () =
 let test_handle_cached () =
   with_dir (fun dir ->
       let s = S.Disk.open_ ~dir in
+      let before = S.Disk.stats () in
       S.Handle.with_store (Some s) (fun () ->
           let computes = ref 0 in
           let compute () = incr computes; 40 + 2 in
@@ -193,21 +202,21 @@ let test_handle_cached () =
           Alcotest.(check int) "stale payload recomputes" 42
             (S.Handle.cached ~tag:"t" ~key:key_b compute);
           Alcotest.(check int) "stale rewrite is a repair" 1
-            (S.Disk.stats s).S.Disk.repaired);
+            (since before).S.Disk.repaired);
       Alcotest.(check bool) "with_store restores" true (S.Handle.get () = None))
 
 let test_handle_sim_plan_bypass () =
   with_dir (fun dir ->
       let s = S.Disk.open_ ~dir in
+      let before = S.Disk.stats () in
       S.Handle.with_store (Some s) (fun () ->
           Fault.Hooks.with_plan Fault.Catalog.bitflip (fun () ->
               Alcotest.(check bool) "ambient hidden under sim plan" true
                 (S.Handle.ambient () = None);
               Alcotest.(check int) "cached still computes" 7
                 (S.Handle.cached ~tag:"t" ~key:key_a (fun () -> 7)));
-          let st = S.Disk.stats s in
           Alcotest.(check int) "nothing written under the plan" 0
-            st.S.Disk.writes;
+            (since before).S.Disk.writes;
           Alcotest.(check (option string)) "no poisoned record" None
             (S.Disk.find s ~key:key_a)))
 
@@ -342,9 +351,9 @@ let test_warm_sweep_byte_identical () =
       let cold, warm =
         S.Handle.with_store (Some s) (fun () ->
             let cold = sweep () in
-            let before = S.Disk.stats s in
+            let before = S.Disk.stats () in
             let warm = sweep () in
-            let d = S.Disk.sub_stats (S.Disk.stats s) before in
+            let d = since before in
             Alcotest.(check int) "warm pass misses nothing" 0 d.S.Disk.misses;
             Alcotest.(check int) "warm pass writes nothing" 0 d.S.Disk.writes;
             Alcotest.(check bool) "warm pass all hits" true (d.S.Disk.hits > 0);
