@@ -53,21 +53,63 @@ let category_phrase c =
   | Category.Serialization_error -> "Serialization"
   | Category.Unknown -> "Unspecified"
 
+(* The report strings are built in place, not through [Printf]: a
+   million-report sweep formats three of them per report.  The draws
+   keep the order in which OCaml evaluated the arguments of the
+   [sprintf] calls these replace, right to left, so every report stays
+   byte-identical. *)
+
+(* [n] as [width] zero-padded decimal digits at [pos]. *)
+let put_digits b ~pos ~width n =
+  let n = ref n in
+  for i = pos + width - 1 downto pos do
+    Bytes.unsafe_set b i (Char.unsafe_chr (Char.code '0' + (!n mod 10)));
+    n := !n / 10
+  done
+
+(* YYYY-MM-DD; drawn day, month, year. *)
 let date_of rng =
-  Printf.sprintf "%04d-%02d-%02d"
-    (Prng.in_range rng ~low:1998 ~high:2002)
-    (Prng.in_range rng ~low:1 ~high:12)
-    (Prng.in_range rng ~low:1 ~high:28)
+  let day = Prng.in_range rng ~low:1 ~high:28 in
+  let month = Prng.in_range rng ~low:1 ~high:12 in
+  let year = Prng.in_range rng ~low:1998 ~high:2002 in
+  let b = Bytes.create 10 in
+  put_digits b ~pos:0 ~width:4 year;
+  Bytes.unsafe_set b 4 '-';
+  put_digits b ~pos:5 ~width:2 month;
+  Bytes.unsafe_set b 7 '-';
+  put_digits b ~pos:8 ~width:2 day;
+  Bytes.unsafe_to_string b
+
+(* "<package> <major>.<minor>"; drawn minor, major, package.  Both
+   version numbers are single digits. *)
+let software_of rng =
+  let minor = Prng.in_range rng ~low:0 ~high:9 in
+  let major = Prng.in_range rng ~low:0 ~high:4 in
+  let package = Prng.pick rng software_pool in
+  let n = String.length package in
+  let b = Bytes.create (n + 4) in
+  Bytes.blit_string package 0 b 0 n;
+  Bytes.unsafe_set b n ' ';
+  put_digits b ~pos:(n + 1) ~width:1 major;
+  Bytes.unsafe_set b (n + 2) '.';
+  put_digits b ~pos:(n + 3) ~width:1 minor;
+  Bytes.unsafe_to_string b
+
+(* "<software> <category phrase> <flaw phrase>", in one allocation. *)
+let title_of software category flaw =
+  let c = category_phrase category and f = flaw_phrase flaw in
+  let ns = String.length software and nc = String.length c in
+  let b = Bytes.create (ns + nc + String.length f + 2) in
+  Bytes.blit_string software 0 b 0 ns;
+  Bytes.unsafe_set b ns ' ';
+  Bytes.blit_string c 0 b (ns + 1) nc;
+  Bytes.unsafe_set b (ns + nc + 1) ' ';
+  Bytes.blit_string f 0 b (ns + nc + 2) (String.length f);
+  Bytes.unsafe_to_string b
 
 let synth_report rng ~id ~category ~flaw =
-  let software =
-    Printf.sprintf "%s %d.%d" (Prng.pick rng software_pool)
-      (Prng.in_range rng ~low:0 ~high:4)
-      (Prng.in_range rng ~low:0 ~high:9)
-  in
-  let title =
-    Printf.sprintf "%s %s %s" software (category_phrase category) (flaw_phrase flaw)
-  in
+  let software = software_of rng in
+  let title = title_of software category flaw in
   let range =
     match Prng.below rng 4 with
     | 0 -> Report.Local
