@@ -14,9 +14,10 @@
    --json      additionally writes every recorded metric as machine-
                readable JSON (default file: BENCH.json)
    --compare   diffs this run's cost metrics (keys suffixed -ms, -s,
-               -ns, -bytes) against a committed baseline JSON and
-               exits 1 on a regression past --threshold (default 20%,
-               with a per-unit absolute floor against timer jitter) *)
+               -ns, -bytes) and rates (keys suffixed -per-s) against a
+               committed baseline JSON and exits 1 on a regression past
+               --threshold (default 20%, with a per-unit absolute floor
+               against timer jitter) *)
 
 let smoke = ref false
 
@@ -62,8 +63,8 @@ let compare_baseline : string option ref = ref None
 
 let threshold = ref 20.0
 
-(* Only cost metrics are gated (lower is better); a name is a cost
-   when it carries one of these unit suffixes.  Each class has an
+(* Costs (lower is better) and rates (higher is better) are gated; a
+   name's unit suffix says which it is.  Each cost class has an
    absolute floor the excess must clear before the relative threshold
    counts.  Allocation counts are deterministic for a deterministic
    workload (the PERF legs additionally take the min over three
@@ -72,17 +73,28 @@ let threshold = ref 20.0
    Wall-clock metrics on shared CI runners routinely jitter 2-3x on
    10-600 ms legs, so a timing metric must at least *double* past its
    unit floor before it fails the build — timings catch catastrophes,
-   bytes catch representation regressions. *)
-let cost_floor name ~base =
+   bytes catch representation regressions.  A `-per-s` rate is the
+   inverse of a timing and is gated like one: it regresses when the
+   time per unit doubles, that is when the rate halves. *)
+type gate = Cost of float  (* absolute floor *) | Rate
+
+let gate_of name ~base =
   let has suffix =
     let n = String.length name and s = String.length suffix in
     n >= s && String.sub name (n - s) s = suffix
   in
-  if has "-bytes" then Some 4096.
-  else if has "-ms" then Some (Float.max 100. base)
-  else if has "-ns" then Some (Float.max 100_000. base)
-  else if has "-s" || has "_s" then Some (Float.max 1.0 base)
+  if has "-per-s" then Some Rate
+  else if has "-bytes" then Some (Cost 4096.)
+  else if has "-ms" then Some (Cost (Float.max 100. base))
+  else if has "-ns" then Some (Cost (Float.max 100_000. base))
+  else if has "-s" || has "_s" then Some (Cost (Float.max 1.0 base))
   else None
+
+let regressed gate ~base ~cur =
+  let slack = 1. +. (!threshold /. 100.) in
+  match gate with
+  | Cost floor -> cur > base *. slack && cur -. base > floor
+  | Rate -> cur *. slack < base && cur *. 2. < base
 
 let compare_with_baseline path =
   let text =
@@ -124,18 +136,17 @@ let compare_with_baseline path =
             (fun (name, v) ->
               match num v with
               | Some base when base > 0. -> (
-                  match cost_floor name ~base, current sec name with
-                  | Some floor, Some cur ->
+                  match gate_of name ~base, current sec name with
+                  | Some gate, Some cur ->
                       incr compared;
-                      if cur > base *. (1. +. (!threshold /. 100.))
-                         && cur -. base > floor
-                      then regressions := (sec, name, base, cur) :: !regressions
+                      if regressed gate ~base ~cur then
+                        regressions := (sec, name, base, cur) :: !regressions
                   | _ -> ())
               | _ -> ())
             fields
       | _ -> ())
     base_sections;
-  Format.printf "@.compared %d cost metrics against %s (threshold %.0f%%)@."
+  Format.printf "@.compared %d cost and rate metrics against %s (threshold %.0f%%)@."
     !compared path !threshold;
   match List.rev !regressions with
   | [] -> Format.printf "no regressions past threshold@."
@@ -143,7 +154,7 @@ let compare_with_baseline path =
       List.iter
         (fun (sec, name, base, cur) ->
           Printf.eprintf
-            "bench: REGRESSION %s/%s: %.6g -> %.6g (+%.0f%%)\n" sec name base
+            "bench: REGRESSION %s/%s: %.6g -> %.6g (%+.0f%%)\n" sec name base
             cur
             ((cur -. base) /. base *. 100.))
         regs;
@@ -1375,9 +1386,9 @@ let usage () =
     "usage: bench [--smoke] [--json [FILE]] [--compare FILE] [--threshold PCT]\n\
     \  --smoke          fast subset (figure 1, lint sweep, resilience, PAR, OBS, SERVE, STORE, PERF, CORPUS)\n\
     \  --json [FILE]    also write metrics as JSON (default BENCH.json)\n\
-    \  --compare FILE   diff this run's cost metrics (-ms/-s/-bytes keys)\n\
-    \                   against a committed baseline JSON; exit 1 on any\n\
-    \                   regression past the threshold\n\
+    \  --compare FILE   diff this run's cost metrics (-ms/-s/-bytes keys) and\n\
+    \                   rates (-per-s keys) against a committed baseline\n\
+    \                   JSON; exit 1 on any regression past the threshold\n\
     \  --threshold PCT  regression tolerance for --compare (default 20)";
   exit 2
 
