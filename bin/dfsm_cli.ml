@@ -671,11 +671,11 @@ let races jobs json por budget app trace metrics =
 
 (* Streaming corpus classification: the Figure-1 distribution scaled
    to --total reports, generated chunk by chunk on the domain pool,
-   spilled through the store as checksummed shards, per-chunk
-   classification summaries cached so warm reruns recompute nothing,
-   and merged in chunk-index order — byte-identical at every -j and
-   invariant under --chunk.  Exit 1 iff the sweep loses reports or
-   the classifier fails to beat the majority-class baseline. *)
+   per-chunk classification summaries cached in the store so warm
+   reruns recompute nothing, and merged in chunk-index order —
+   byte-identical at every -j and invariant under --chunk.  Exit 1
+   iff the sweep loses reports or the classifier fails to beat the
+   majority-class baseline. *)
 let classify jobs store seed total chunk smoke json trace metrics =
   with_jobs jobs @@ fun () ->
   with_store store @@ fun () ->
@@ -1026,7 +1026,7 @@ let chunk_arg =
   Arg.(value & opt int 4096
        & info [ "chunk" ] ~docv:"N"
          ~doc:"Reports per generated chunk (the streaming granule and the \
-               on-disk shard size; the result is invariant under it).")
+               unit of a cached summary; the result is invariant under it).")
 
 let classify_smoke_arg =
   Arg.(value & flag
@@ -1038,10 +1038,10 @@ let classify_cmd =
   Cmd.v
     (Cmd.info "classify"
        ~doc:"Stream a scaled Figure-1 corpus through the nearest-centroid \
-             classifier: chunked generation on the domain pool, checksummed \
-             store spill, cached per-chunk summaries (warm reruns recompute \
-             nothing), deterministic merge.  Exit 1 iff reports are lost or \
-             accuracy drops below the majority-class baseline.")
+             classifier: chunked generation on the domain pool, per-chunk \
+             summaries cached in the store (warm reruns recompute nothing), \
+             deterministic merge.  Exit 1 iff reports are lost or accuracy \
+             drops below the majority-class baseline.")
     Term.(ret (const classify $ jobs_arg $ store_arg $ seed_arg $ total_arg
                $ chunk_arg $ classify_smoke_arg $ json_flag $ trace_arg
                $ metrics_file_arg))

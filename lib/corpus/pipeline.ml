@@ -60,16 +60,8 @@ let run ?curated ~seed ~total ~chunk () =
                      seed chunk i md Features.version)
                 (fun () ->
                   Obs.Metrics.incr m_summaries;
-                  let reports =
-                    Store.Handle.cached ~tag:"corpus-chunk"
-                      ~key:
-                        (key "corpus-chunk/1|%s|seed=%d|chunk=%d|index=%d" pd
-                           seed chunk i)
-                      (fun () ->
-                        let rs = Synth.chunk_reports p ~seed ~chunk ~index:i in
-                        Obs.Metrics.add m_generated (List.length rs);
-                        rs)
-                  in
+                  let reports = Synth.chunk_reports p ~seed ~chunk ~index:i in
+                  Obs.Metrics.add m_generated (List.length reports);
                   Classifier.classify_all model reports)
             in
             let summaries =

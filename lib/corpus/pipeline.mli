@@ -1,25 +1,27 @@
-(** The streaming corpus sweep: chunked generation spilled through the
-    persistent store, per-chunk classification summaries cached via
-    {!Store.Handle.cached}, and a deterministic in-order merge.
+(** The streaming corpus sweep: chunked generation on the {!Par}
+    pool, per-chunk classification summaries cached in the persistent
+    store via {!Store.Handle.cached}, and a deterministic in-order
+    merge.
 
-    Layout per chunk (all keys derive from the plan digest, the seed,
-    the chunk geometry, the centroid digest and the feature version):
+    Store tiers (keys derive from the plan digest, the seed, the chunk
+    geometry, the centroid digest and the feature version):
 
-    - ["corpus-chunk"] — the generated reports themselves, one
-      checksummed record per chunk.  This is the on-disk spill: every
-      byte goes through {!Store.Io}, so [chaos --disk] fault plans and
-      [dfsm fsck] cover the shards like any other record.
-    - ["corpus-summary"] — the chunk's classification confusion
-      counts.  On a warm store this tier short-circuits the whole
-      chunk (no generation, no feature extraction), which is what
-      makes million-report sweeps incremental across processes.
+    - ["corpus-summary"] — one record per chunk: its classification
+      confusion counts.  On a warm store this tier short-circuits the
+      whole chunk (no generation, no feature extraction), which is
+      what makes million-report sweeps incremental across processes.
+      A miss regenerates the chunk's reports from the plan; they are
+      never written, because generating a chunk costs less than
+      decoding it back.
     - ["corpus-centroids"] — the trained classifier (always on the
       legacy 5925-report corpus, fixed internal chunking, sequential
       float folds — independent of [--chunk] and [-j]).
 
-    Without an installed store every tier degrades to compute.  The
-    merge folds integer matrices in chunk-index order, so the result
-    is byte-identical at any [-j] and invariant under chunk size.
+    Every record goes through {!Store.Io}, so [chaos --disk] fault
+    plans and [dfsm fsck] cover them like any other.  Without an
+    installed store every tier degrades to compute.  The merge folds
+    integer matrices in chunk-index order, so the result is
+    byte-identical at any [-j] and invariant under chunk size.
 
     Counters: [corpus.chunks], [corpus.reports] (accounted into the
     final matrix), [corpus.generated] (reports generated fresh this

@@ -243,13 +243,88 @@ let test_warm_sweep_incremental () =
           Alcotest.(check int) "warm writes nothing" 0 d.Store.Disk.writes;
           Alcotest.(check bool) "warm is all hits" true (d.Store.Disk.hits > 0)))
 
+(* The store holds two tiers: one summary per chunk and the trained
+   centroids.  Generated reports are never written: a summary miss
+   regenerates its chunk, which costs less than reading it back. *)
+let m_generated = Obs.Metrics.counter "corpus.generated"
+let m_summaries = Obs.Metrics.counter "corpus.summaries"
+
+let test_cold_sweep_record_count () =
+  with_dir (fun dir ->
+      let s = Store.Disk.open_ ~dir in
+      let before = Store.Disk.stats () in
+      let t =
+        Store.Handle.with_store (Some s) (fun () ->
+            run_exn ~seed:3 ~total:1200 ~chunk:128 ())
+      in
+      let d = Store.Disk.sub_stats (Store.Disk.stats ()) before in
+      let chunks = t.Corpus.Pipeline.chunks in
+      Alcotest.(check int) "writes: one summary per chunk + centroids"
+        (chunks + 1) d.Store.Disk.writes;
+      Alcotest.(check int) "records on disk" (chunks + 1)
+        (List.length
+           (List.filter
+              (fun f -> Filename.check_suffix f ".rec")
+              (Store.Disk.object_files s))))
+
+(* The summary key recipe, restated: a change to it would cold-start
+   every store warmed by an earlier build. *)
+let summary_key ~seed ~total ~chunk ~index =
+  match Synth.plan ~total (), Corpus.Pipeline.centroids ~seed with
+  | Ok p, Ok model ->
+      Digest.to_hex
+        (Digest.string
+           (Printf.sprintf "corpus-summary/1|%s|seed=%d|chunk=%d|index=%d|%s|%s"
+              (Synth.plan_digest p) seed chunk index
+              (Corpus.Classifier.model_digest model)
+              Corpus.Features.version))
+  | _ -> Alcotest.fail "plan or centroids"
+
+let test_evicted_summary_regenerates_its_chunk () =
+  let reference =
+    Corpus.Pipeline.to_json (run_exn ~seed:3 ~total:1200 ~chunk:128 ())
+  in
+  with_dir (fun dir ->
+      let s = Store.Disk.open_ ~dir in
+      Store.Handle.with_store (Some s) (fun () ->
+          ignore (run_exn ~seed:3 ~total:1200 ~chunk:128 ());
+          let index = 9 in  (* the partial last chunk *)
+          let path =
+            Store.Disk.record_path s
+              ~key:(summary_key ~seed:3 ~total:1200 ~chunk:128 ~index)
+          in
+          Alcotest.(check bool) "summary record exists" true
+            (Sys.file_exists path);
+          Sys.remove path;
+          let expected =
+            match Synth.plan ~total:1200 () with
+            | Ok p ->
+                List.length (Synth.chunk_reports p ~seed:3 ~chunk:128 ~index)
+            | Error e -> Alcotest.failf "plan: %s" (Synth.error_to_string e)
+          in
+          let generated = Obs.Metrics.counter_value m_generated
+          and summaries = Obs.Metrics.counter_value m_summaries
+          and before = Store.Disk.stats () in
+          let rerun =
+            Corpus.Pipeline.to_json (run_exn ~seed:3 ~total:1200 ~chunk:128 ())
+          in
+          let d = Store.Disk.sub_stats (Store.Disk.stats ()) before in
+          Alcotest.(check string) "rerun = store-less" reference rerun;
+          Alcotest.(check int) "corpus.generated: that chunk's reports"
+            expected
+            (Obs.Metrics.counter_value m_generated - generated);
+          Alcotest.(check int) "corpus.summaries: one" 1
+            (Obs.Metrics.counter_value m_summaries - summaries);
+          Alcotest.(check int) "one miss" 1 d.Store.Disk.misses;
+          Alcotest.(check int) "one write" 1 d.Store.Disk.writes))
+
 let test_spill_crash_recovery () =
-  (* the SIGKILL-mid-spill shape, via the store crash harness: every
-     durability plan in the catalog (torn shard writes, flips, write
+  (* the SIGKILL-mid-sweep shape, via the store crash harness: every
+     durability plan in the catalog (torn record writes, flips, write
      errors, crash-before-rename — the states a kill leaves behind)
-     runs a spilling sweep; the answer must equal the store-less
-     reference, fsck --repair must end clean, and an honest rerun
-     against the battered store must still agree *)
+     runs a store-backed sweep; every plan must fire, the answer must
+     equal the store-less reference, fsck --repair must end clean, and
+     an honest rerun against the battered store must still agree *)
   let reference =
     Corpus.Pipeline.to_json (run_exn ~seed:9 ~total:800 ~chunk:64 ())
   in
@@ -258,14 +333,18 @@ let test_spill_crash_recovery () =
       let plan = { plan with Fault.Plan.seed = 100 + i } in
       with_dir (fun dir ->
           let s = Store.Disk.open_ ~dir in
-          let faulted, _events =
+          let faulted, events =
             Fault.Hooks.run plan (fun () ->
                 Store.Handle.with_store (Some s) (fun () ->
                     Corpus.Pipeline.to_json
                       (run_exn ~seed:9 ~total:800 ~chunk:64 ())))
           in
+          Alcotest.(check bool)
+            (Printf.sprintf "plan %s: injected at least one fault"
+               plan.Fault.Plan.name)
+            true (events <> []);
           Alcotest.(check string)
-            (Printf.sprintf "plan %s: faulted spill never lies"
+            (Printf.sprintf "plan %s: faulted sweep never lies"
                plan.Fault.Plan.name)
             reference faulted;
           let s2 = Store.Disk.open_ ~dir in
@@ -310,5 +389,9 @@ let () =
       ("store",
        [ Alcotest.test_case "warm sweep recomputes nothing" `Quick
            test_warm_sweep_incremental;
+         Alcotest.test_case "cold sweep writes chunks + 1 records" `Quick
+           test_cold_sweep_record_count;
+         Alcotest.test_case "evicted summary regenerates its chunk" `Quick
+           test_evicted_summary_regenerates_its_chunk;
          Alcotest.test_case "crash-mid-spill recovery" `Quick
            test_spill_crash_recovery ]) ]
