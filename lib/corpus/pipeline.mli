@@ -10,9 +10,10 @@
       confusion counts.  On a warm store this tier short-circuits the
       whole chunk (no generation, no feature extraction), which is
       what makes million-report sweeps incremental across processes.
-      A miss regenerates the chunk's reports from the plan; they are
-      never written, because generating a chunk costs less than
-      decoding it back.
+      A miss regenerates the chunk's reports from the plan.  They are
+      never written: regenerating a chunk costs about as much as
+      decoding its record, before the file is even read, and writing
+      the record costs more than either.
     - ["corpus-centroids"] — the trained classifier (always on the
       legacy 5925-report corpus, fixed internal chunking, sequential
       float folds — independent of [--chunk] and [-j]).

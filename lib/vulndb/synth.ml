@@ -53,11 +53,11 @@ let category_phrase c =
   | Category.Serialization_error -> "Serialization"
   | Category.Unknown -> "Unspecified"
 
-(* The report strings are built in place, not through [Printf]: a
-   million-report sweep formats three of them per report.  The draws
-   keep the order in which OCaml evaluated the arguments of the
-   [sprintf] calls these replace, right to left, so every report stays
-   byte-identical. *)
+(* Report strings are written into [Bytes] directly: [Printf] took
+   most of a million-report sweep's time.  The PRNG draw order is part
+   of every report's bytes (test_corpus pins them).  It is the
+   right-to-left argument order of the [sprintf] calls this code
+   replaced, so each builder draws its last field first. *)
 
 (* [n] as [width] zero-padded decimal digits at [pos]. *)
 let put_digits b ~pos ~width n =

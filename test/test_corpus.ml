@@ -74,8 +74,8 @@ let test_stream_jobs_identical () =
    property above cannot see a change in what it builds.  These digests
    pin the bytes themselves: the legacy corpus as `dfsm csv --seed 1`
    prints it, and chunks sampled across a million-report plan at
-   another seed (the first holds the curated reports, 195 steps over
-   the curated ids 900001/900002, the last is partial). *)
+   another seed.  Chunk 0 holds the curated reports, chunk 195 steps
+   over the curated ids 900001/900002, and chunk 244 is partial. *)
 
 let md5_hex s = Digest.to_hex (Digest.string s)
 
@@ -245,7 +245,7 @@ let test_warm_sweep_incremental () =
 
 (* The store holds two tiers: one summary per chunk and the trained
    centroids.  Generated reports are never written: a summary miss
-   regenerates its chunk, which costs less than reading it back. *)
+   regenerates its chunk. *)
 let m_generated = Obs.Metrics.counter "corpus.generated"
 let m_summaries = Obs.Metrics.counter "corpus.summaries"
 
