@@ -1050,11 +1050,10 @@ let serve_bench () =
       Format.printf "  %-28s %10.0f@." key rps;
       record ~section:"SERVE" key rps)
     sweep_jobs;
-  let lat = summary.S.latencies in
-  let p50 = S.percentile 50 lat and p99 = S.percentile 99 lat in
+  let p50 = summary.S.latency_p50 and p99 = summary.S.latency_p99 in
   Format.printf
     "latency over virtual time: p50 %d ticks, p99 %d ticks (%d completed)@."
-    p50 p99 (List.length lat);
+    p50 p99 summary.S.completed;
   record ~section:"SERVE" "latency-p50-vt" (float_of_int p50);
   record ~section:"SERVE" "latency-p99-vt" (float_of_int p99);
   record ~section:"SERVE" "admitted" (float_of_int summary.S.admitted);

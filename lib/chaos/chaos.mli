@@ -88,7 +88,9 @@ val pp : Format.formatter -> report -> unit
     {!Fault.Hooks.run}, and the harness asserts {e zero lost
     requests}: every admitted request got exactly one terminal
     response, every shed request a typed [overloaded], every bad line
-    a typed error, and the server drained cleanly. *)
+    a typed error, and the server drained cleanly.  It also asserts
+    that no request took more attempts than the retry policy allows
+    (the summary's [max_attempts]). *)
 
 type soak_run = {
   soak_plan : Fault.Plan.t;

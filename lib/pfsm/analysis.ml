@@ -21,10 +21,9 @@ type report = {
    installed injector or not.  Hashconsing ([Primitive.make] interns
    every predicate) makes the marshal image's sharing a function of
    structure, so two independently built but identical models collide
-   on the same key.  Model digests are additionally cached by physical
-   identity: a model is built once and analyzed against many
-   scenarios, so the expensive half of the key is paid once per model
-   and a warm lookup costs only the (small) scenario digest.
+   on the same key.  [analyze] digests its model once per call and
+   reuses that digest for every scenario; [run_memo] digests its model
+   on each call.
 
    The cache is compute-once: the first caller of a key publishes a
    [Computing] marker and evaluates outside the lock; concurrent
@@ -45,68 +44,8 @@ let analyze_allocs = Obs.Allocs.scope "pfsm.analyze"
 let m_lookups = Obs.Metrics.counter "pfsm.memo.lookups"
 let m_hits = Obs.Metrics.counter "pfsm.memo.hits"
 let m_misses = Obs.Metrics.counter "pfsm.memo.misses"
-let m_digest_evictions = Obs.Metrics.counter "pfsm.memo.digest_evictions"
 
-(* Identity-keyed model-digest cache, bounded.
-
-   The old shape — an unbounded assoc list — retained every model ever
-   digested for the life of the process (a GC leak across chaos/bench
-   sweeps, which build fresh models per leg) and scanned O(n) under
-   [memo_lock].  This is a fixed-capacity FIFO ring: an eviction only
-   costs a recompute of that model's digest, never a wrong answer, so
-   correctness and determinism are unaffected by the bound. *)
-
-let digest_cache_capacity = 64
-
-type digest_slot = { d_model : Model.t; d_digest : string }
-
-let digest_ring : digest_slot option array =
-  Array.make digest_cache_capacity None
-
-let digest_next = ref 0 (* next insertion slot, under [memo_lock] *)
-
-let digest_find_locked model =
-  let found = ref None in
-  Array.iter
-    (fun s ->
-      match s with
-      | Some { d_model; d_digest } when d_model == model ->
-          found := Some d_digest
-      | _ -> ())
-    digest_ring;
-  !found
-
-let model_digest model =
-  let cached =
-    Mutex.lock memo_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock memo_lock)
-      (fun () -> digest_find_locked model)
-  in
-  match cached with
-  | Some d -> d
-  | None ->
-      let d = Digest.string (Marshal.to_string model [ Marshal.Closures ]) in
-      Mutex.lock memo_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock memo_lock)
-        (fun () ->
-          (* a duplicate insert under a race is harmless (same digest) *)
-          if digest_find_locked model = None then begin
-            let i = !digest_next in
-            if digest_ring.(i) <> None then
-              Obs.Metrics.incr m_digest_evictions;
-            digest_ring.(i) <- Some { d_model = model; d_digest = d };
-            digest_next := (i + 1) mod digest_cache_capacity
-          end);
-      d
-
-let memo_keys model env =
-  let md = model_digest model in
-  let ed = Digest.string (Marshal.to_string env [ Marshal.Closures ]) in
-  (* in-memory key is the raw 32 bytes; the persistent key is its hex
-     spelling (store keys must be lowercase hex) *)
-  (md ^ ed, Digest.to_hex md ^ Digest.to_hex ed)
+let digest v = Digest.string (Marshal.to_string v [ Marshal.Closures ])
 
 (* Persistent tier: when the CLI has installed an ambient store, an
    in-memory miss consults it before computing and a computed trace is
@@ -125,8 +64,12 @@ let memo_reset () =
     ~finally:(fun () -> Mutex.unlock memo_lock)
     (fun () -> Hashtbl.reset memo_table)
 
-let run_memo model ~env =
-  let key, key_hex = memo_keys model env in
+(* [md] is [digest model] *)
+let run_digested model md ~env =
+  let ed = digest env in
+  (* in-memory key is the raw 32 bytes; the persistent key is its hex
+     spelling (store keys must be lowercase hex) *)
+  let key = md ^ ed and key_hex = Digest.to_hex md ^ Digest.to_hex ed in
   Mutex.lock memo_lock;
   Obs.Metrics.incr m_lookups;
   let rec acquire () =
@@ -161,6 +104,8 @@ let run_memo model ~env =
   in
   acquire ()
 
+let run_memo model ~env = run_digested model (digest model) ~env
+
 let analyze ?(par = false) ?memo model ~scenarios =
   (* when the CLI installed a persistent store, memoize by default so
      every analysis routes through it; memoization never changes the
@@ -173,10 +118,8 @@ let analyze ?(par = false) ?memo model ~scenarios =
     "pfsm.analyze"
   @@ fun () ->
   Obs.Allocs.measure analyze_allocs @@ fun () ->
-  let run env =
-    if memo then run_memo model ~env else Model.run model ~env
-  in
-  let trace_of env = (env, run env) in
+  let run = if memo then run_digested model (digest model) else Model.run model in
+  let trace_of env = (env, run ~env) in
   let traces =
     if par then Par.map_list trace_of scenarios
     else List.map trace_of scenarios

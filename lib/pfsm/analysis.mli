@@ -33,9 +33,9 @@ val analyze : ?par:bool -> ?memo:bool -> Model.t -> scenarios:Env.t list -> repo
     model digest x scenario digest — each the MD5 of the marshal
     image, closures included; hashconsed predicates make that image
     structure-determined, so independently constructed but identical
-    models share entries.  Model digests are cached by physical
-    identity (a model is analyzed against many scenarios), so a warm
-    lookup pays only the small scenario digest.  Compute-once:
+    models share entries.  {!analyze} digests its model once per
+    call; {!run_memo} digests the model and the scenario on every
+    call, and keeps nothing else per model.  Compute-once:
     concurrent lookups of one key block rather than recompute, which
     keeps the counters deterministic under any scheduling (after a
     {!memo_reset}, a phase's [misses] = the distinct keys it
@@ -56,10 +56,7 @@ val memo_stats : unit -> memo_stats
 (** The process-wide [pfsm.memo.lookups], [pfsm.memo.hits] and
     [pfsm.memo.misses] counters of {!Obs.Metrics}, read as a record.
     They only grow (until [Obs.Metrics.reset]); a harness reporting
-    one phase diffs a read taken before it against one taken after.
-    The model-digest cache is a fixed-capacity FIFO ring of 64 models;
-    each eviction (a later digest recompute, never a wrong answer)
-    counts in [pfsm.memo.digest_evictions]. *)
+    one phase diffs a read taken before it against one taken after. *)
 
 val memo_reset : unit -> unit
 (** Drop every memo entry, so the next lookup of any key misses.  Run

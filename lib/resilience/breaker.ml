@@ -17,8 +17,9 @@ type t = {
   mutable state : state;
   mutable consecutive : int;
   mutable opened_at : int;
-  mutable rev_trips : trip list;
-  mutable rev_transitions : (state * state) list;
+  mutable trip_count : int;
+  mutable last_trip : trip option;
+  mutable rev_edges : (state * state) list;  (* distinct, at most six *)
 }
 
 let create ?(config = default_config) ~resource () =
@@ -29,16 +30,19 @@ let create ?(config = default_config) ~resource () =
     state = Closed;
     consecutive = 0;
     opened_at = 0;
-    rev_trips = [];
-    rev_transitions = [] }
+    trip_count = 0;
+    last_trip = None;
+    rev_edges = [] }
 
 let resource t = t.resource
 
 let state t = t.state
 
-let trips t = List.rev t.rev_trips
+let trip_count t = t.trip_count
 
-let transitions t = List.rev t.rev_transitions
+let last_trip t = t.last_trip
+
+let edges t = List.rev t.rev_edges
 
 let m_transitions = Obs.Metrics.counter "resilience.breaker.transitions"
 let m_trips = Obs.Metrics.counter "resilience.breaker.trips"
@@ -50,7 +54,8 @@ let state_to_string = function
 
 let goto t s =
   if t.state <> s then begin
-    t.rev_transitions <- (t.state, s) :: t.rev_transitions;
+    if not (List.mem (t.state, s) t.rev_edges) then
+      t.rev_edges <- (t.state, s) :: t.rev_edges;
     Obs.Metrics.incr m_transitions;
     Obs.Span.instant ~cat:"resilience"
       ~args:
@@ -63,12 +68,9 @@ let goto t s =
 
 let trip t ~now ~cause =
   Obs.Metrics.incr m_trips;
-  t.rev_trips <-
-    { resource = t.resource;
-      at = now;
-      consecutive_failures = t.consecutive;
-      cause }
-    :: t.rev_trips;
+  t.trip_count <- t.trip_count + 1;
+  t.last_trip <-
+    Some { resource = t.resource; at = now; consecutive_failures = t.consecutive; cause };
   t.opened_at <- now;
   goto t Open
 
@@ -121,5 +123,5 @@ let pp ppf t =
   Format.fprintf ppf "%s: %s (%d consecutive failure%s, %d trip%s)" t.resource
     (state_to_string t.state) t.consecutive
     (if t.consecutive = 1 then "" else "s")
-    (List.length t.rev_trips)
-    (if List.length t.rev_trips = 1 then "" else "s")
+    t.trip_count
+    (if t.trip_count = 1 then "" else "s")

@@ -14,9 +14,12 @@
        breaker, failure re-opens it.}}
 
     The breaker can never move [Open] to [Closed] without passing
-    [Half_open] — {!transitions} records every edge so the property
-    is checkable.  Every trip is a typed record naming the resource,
-    the virtual time and the fault that tripped it. *)
+    [Half_open] — {!edges} records every distinct edge taken so the
+    property is checkable.  A trip is a typed record naming the
+    resource, the virtual time and the fault that tripped it; the
+    breaker keeps the count of its trips and the last one, so a
+    breaker that trips for as long as a server runs stays the same
+    size. *)
 
 type state = Closed | Open | Half_open
 
@@ -43,11 +46,13 @@ val resource : t -> string
 
 val state : t -> state
 
-val trips : t -> trip list
-(** Oldest first. *)
+val trip_count : t -> int
 
-val transitions : t -> (state * state) list
-(** Every state change, oldest first. *)
+val last_trip : t -> trip option
+
+val edges : t -> (state * state) list
+(** Every distinct state change taken so far, in the order first
+    taken. *)
 
 val acquire : t -> now:int -> bool
 (** May a call proceed at virtual time [now]?  On an [Open] breaker

@@ -27,8 +27,11 @@ type summary = {
   batches : int;
   vt : int;
   drained : bool;
-  latencies : int list;
-  report : R.Run_report.t;
+  latency_p50 : int;
+  latency_p99 : int;
+  retried : int;
+  max_attempts : int;
+  waited : int;
   store : Store.Disk.stats option;
       (** this run's delta against the ambient store, when one is
           installed *)
@@ -40,13 +43,15 @@ type summary = {
 let accounted s =
   s.admitted = s.completed + s.errors + s.deadlined + s.quarantined
 
-let percentile p xs =
-  match List.sort compare xs with
-  | [] -> 0
-  | sorted ->
-      let n = List.length sorted in
-      let rank = max 1 (((p * n) + 99) / 100) in
-      List.nth sorted (min (n - 1) (rank - 1))
+let percentile p table =
+  let n = List.fold_left (fun acc (_, c) -> acc + c) 0 table in
+  let rank = max 1 (min n (((p * n) + 99) / 100)) in
+  let rec walk seen = function
+    | [] -> 0
+    | (latency, c) :: rest ->
+        if seen + c >= rank then latency else walk (seen + c) rest
+  in
+  walk 0 table
 
 let summary_to_json s =
   (* the store fields only appear when a store is installed, so runs
@@ -66,10 +71,10 @@ let summary_to_json s =
          ("malformed", Int s.malformed); ("stats", Int s.stats_served);
          ("batches", Int s.batches); ("vt", Int s.vt); ("drained", Bool s.drained);
          ("accounted", Bool (accounted s));
-         ("latency_p50", Int (percentile 50 s.latencies));
-         ("latency_p99", Int (percentile 99 s.latencies)) ]
-       @ store_fields
-       @ [ ("report", R.Run_report.to_json s.report) ]))
+         ("latency_p50", Int s.latency_p50); ("latency_p99", Int s.latency_p99);
+         ("retried", Int s.retried); ("max_attempts", Int s.max_attempts);
+         ("waited", Int s.waited) ]
+       @ store_fields))
 
 let pp_summary ppf s =
   Format.fprintf ppf
@@ -80,8 +85,7 @@ let pp_summary ppf s =
     s.malformed s.stats_served s.batches
     (if s.batches = 1 then "" else "es")
     s.vt
-    (percentile 50 s.latencies) (percentile 99 s.latencies)
-    s.drained (accounted s);
+    s.latency_p50 s.latency_p99 s.drained (accounted s);
   (match s.store with
   | None -> ()
   | Some st ->
@@ -106,6 +110,8 @@ let m_latency = Obs.Metrics.histogram "serve.latency"
 
 (* ---- the loop ----------------------------------------------------- *)
 
+module Int_map = Map.Make (Int)
+
 type pending = {
   p_id : string;
   p_work : Protocol.work;
@@ -129,9 +135,14 @@ let run ?(config = default_config) ~emit source =
   let malformed = ref 0 in
   let stats_served = ref 0 in
   let batches = ref 0 in
-  let rev_latencies = ref [] in
+  (* A finished request leaves only counts behind.  Latencies are
+     virtual ticks, so a latency -> count table gives the summary's
+     exact percentiles and grows with distinct latencies, not with
+     requests. *)
+  let latency_counts = ref Int_map.empty in
+  let retried = ref 0 in
+  let max_attempts = ref 0 in
   let waited = ref 0 in
-  let rev_report_items = ref [] in
   let breakers = R.Breaker.table config.breaker in
   let respond (r : Protocol.response) =
     (match r.Protocol.status with
@@ -141,11 +152,6 @@ let run ?(config = default_config) ~emit source =
      | Protocol.Quarantined -> incr quarantined
      | Protocol.Overloaded -> ());
     emit (Protocol.render r)
-  in
-  let report_item id outcome =
-    rev_report_items :=
-      { R.Run_report.id; outcome; from_checkpoint = false }
-      :: !rev_report_items
   in
   let invoke_handler (p : pending) ~attempt =
     Obs.Span.with_span ~cat:"serve"
@@ -200,26 +206,28 @@ let run ?(config = default_config) ~emit source =
           config.retry.R.Retry.seed lxor Hashtbl.hash (p.p_id, p.p_arrived) }
     in
     let breaker = R.Breaker.lookup breakers (Protocol.work_class p.p_work) in
-    match R.Retry.run ~breaker ~clock:vt ~on_backoff policy work with
-    | Ok ((Handlers.Done payload, spent), attempts) ->
+    let outcome = R.Retry.run ~breaker ~clock:vt ~on_backoff policy work in
+    let attempts = match outcome with Ok (_, a) | Error (_, a) -> a in
+    max_attempts := max !max_attempts attempts;
+    match outcome with
+    | Ok ((Handlers.Done payload, spent), _) ->
         vt := !vt + spent;
         let latency = !vt - p.p_arrived in
-        rev_latencies := latency :: !rev_latencies;
+        latency_counts :=
+          Int_map.update latency
+            (fun c -> Some (1 + Option.value ~default:0 c))
+            !latency_counts;
+        if attempts > 1 then incr retried;
         Obs.Metrics.incr m_completed;
         Obs.Metrics.observe m_latency latency;
-        report_item p.p_id (R.Run_report.Completed { attempts });
         respond (Protocol.ok ~id:p.p_id ~latency ~attempts payload)
-    | Ok ((Handlers.Deadline_hit { spent }, _), attempts) ->
+    | Ok ((Handlers.Deadline_hit { spent }, _), _) ->
         (* the request's own fuel ran out: not an environmental
            failure, so the breaker saw a success — a typed deadline
            response, terminally *)
         vt := !vt + spent;
-        report_item p.p_id
-          (R.Run_report.Quarantined
-             { attempts; cause = R.Quarantine.Deadline_exceeded { spent } });
         respond (Protocol.deadline ~id:p.p_id ~attempts ~spent ())
-    | Error (cause, attempts) ->
-        report_item p.p_id (R.Run_report.Quarantined { attempts; cause });
+    | Error (cause, _) ->
         respond
           (match cause with
            | R.Quarantine.Rejected { detail } ->
@@ -350,6 +358,7 @@ let run ?(config = default_config) ~emit source =
   in
   loop ();
   Obs.Metrics.add m_quarantined !quarantined;
+  let latencies = Int_map.bindings !latency_counts in
   let summary =
     { admitted = Admission.admitted queue;
       shed = Admission.shed queue;
@@ -362,13 +371,11 @@ let run ?(config = default_config) ~emit source =
       batches = !batches;
       vt = !vt;
       drained = !drained;
-      latencies = List.rev !rev_latencies;
-      report =
-        { R.Run_report.label = "serve";
-          seed = config.retry.R.Retry.seed;
-          items = List.rev !rev_report_items;
-          waited = !waited;
-          journal_skipped = 0 };
+      latency_p50 = percentile 50 latencies;
+      latency_p99 = percentile 99 latencies;
+      retried = !retried;
+      max_attempts = !max_attempts;
+      waited = !waited;
       store =
         (match (store_at_start, Store.Handle.get ()) with
         | Some before, Some _ ->

@@ -12,7 +12,10 @@
     is particular to serving: per-attempt {!Resilience.Deadline} fuel
     inside the handler, latency, the typed response for each verdict,
     and store-degraded accounting.  Every admitted request gets
-    exactly one terminal response.
+    exactly one terminal response.  A finished request leaves only
+    counters behind (the latency percentiles come from a latency ->
+    count table), so a long-running server does not grow with the
+    number of requests it has answered.
 
     Time is virtual: the clock ticks once per work-request arrival,
     once per attempt, by each backoff delay and by the fuel a
@@ -56,8 +59,11 @@ type summary = {
   batches : int;
   vt : int;            (** final virtual time *)
   drained : bool;      (** input ended via EOF/shutdown and the queue emptied *)
-  latencies : int list;  (** completed-request latencies, completion order *)
-  report : Resilience.Run_report.t;  (** one item per admitted request *)
+  latency_p50 : int;   (** nearest-rank p50 of completed-request latencies *)
+  latency_p99 : int;
+  retried : int;       (** [ok] responses that took more than one attempt *)
+  max_attempts : int;  (** the most attempts any admitted request took *)
+  waited : int;        (** virtual time spent in retry backoffs *)
   store : Store.Disk.stats option;
       (** this run's delta against the ambient persistent store, when
           the CLI installed one ([None] otherwise — the summary JSON
@@ -74,8 +80,9 @@ val accounted : summary -> bool
 (** Every admitted request got exactly one terminal response — the
     zero-lost-requests contract. *)
 
-val percentile : int -> int list -> int
-(** Nearest-rank percentile; 0 on the empty list. *)
+val percentile : int -> (int * int) list -> int
+(** Nearest-rank percentile over an ascending [(latency, count)]
+    table; 0 when the counts sum to 0. *)
 
 val summary_to_json : summary -> Json.t
 

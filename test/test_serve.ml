@@ -1,8 +1,9 @@
 (* The serve layer: JSON codec round trips, protocol parsing, bounded
    admission, and the request loop's contract — exactly one typed
    response per admitted request, typed shedding past the bound,
-   per-class breaker isolation, fuel deadlines, graceful drain, and a
-   response stream byte-identical at every job count. *)
+   per-class breaker isolation, fuel deadlines, graceful drain, a
+   response stream byte-identical at every job count, and a live heap
+   that stays flat over a long run. *)
 
 module S = Serve.Server
 module P = Serve.Protocol
@@ -443,10 +444,35 @@ let test_job_count_identity () =
      J.to_string (S.summary_to_json s4))
 
 let test_latency_percentiles () =
+  let ones xs = List.map (fun x -> (x, 1)) xs in
   Alcotest.(check int) "empty" 0 (S.percentile 99 []);
-  Alcotest.(check int) "p50 of 1..10" 5 (S.percentile 50 [ 10; 9; 8; 7; 6; 5; 4; 3; 2; 1 ]);
-  Alcotest.(check int) "p99 of 1..10" 10 (S.percentile 99 [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]);
-  Alcotest.(check int) "p1 is the minimum" 1 (S.percentile 1 [ 3; 1; 2 ])
+  Alcotest.(check int) "p50 of 1..10" 5 (S.percentile 50 (ones (List.init 10 succ)));
+  Alcotest.(check int) "p99 of 1..10" 10 (S.percentile 99 (ones (List.init 10 succ)));
+  Alcotest.(check int) "p1 is the minimum" 1 (S.percentile 1 (ones [ 1; 2; 3 ]))
+
+(* The reference: nearest rank over the sorted list of every sample. *)
+let nearest_rank p xs =
+  match List.sort compare xs with
+  | [] -> 0
+  | sorted ->
+      let n = List.length sorted in
+      let rank = max 1 (((p * n) + 99) / 100) in
+      List.nth sorted (min (n - 1) (rank - 1))
+
+let prop_percentile_table =
+  QCheck.Test.make ~name:"percentile over a count table = nearest rank" ~count:500
+    QCheck.(pair (int_range 0 100) (small_list (pair (int_range 1 50) (int_range 0 4))))
+    (fun (p, steps) ->
+       (* ascending latencies from positive gaps; a count may be 0 *)
+       let _, rev_table =
+         List.fold_left
+           (fun (latency, acc) (gap, count) ->
+              (latency + gap, (latency + gap, count) :: acc))
+           (0, []) steps
+       in
+       let table = List.rev rev_table in
+       let samples = List.concat_map (fun (l, c) -> List.init c (fun _ -> l)) table in
+       S.percentile p table = nearest_rank p samples)
 
 let test_retry_attempts_metric () =
   (* every serve backoff is a retry attempt: the resilience counter
@@ -471,6 +497,73 @@ let test_retry_attempts_metric () =
   Alcotest.(check bool) "the script backs off" true (backoffs > 0);
   Alcotest.(check int) "one retry attempt per backoff" backoffs
     (Obs.Metrics.counter_value attempts - before)
+
+(* ---- flat memory over a long run --------------------------------- *)
+
+let soak_apps = [| "sendmail"; "nullhttpd"; "xterm"; "rwall"; "iis"; "ghttpd"; "rpcstatd" |]
+let soak_targets = Array.of_list (List.map fst Minic.Corpus.all)
+
+(* Request [i] of the soak mix: the first of every eight is [first],
+   the rest analyze, lint and exploit across the registry and the
+   corpus. *)
+let soak_request ~first i =
+  let pick a = a.((i + (i / 8)) mod Array.length a) in
+  let body =
+    match i mod 8 with
+    | 0 -> first
+    | 1 | 4 | 7 -> Printf.sprintf {|"kind":"analyze","app":"%s"|} (pick soak_apps)
+    | 2 | 5 -> Printf.sprintf {|"kind":"lint","target":"%s"|} (pick soak_targets)
+    | _ -> Printf.sprintf {|"kind":"exploit","app":"%s"|} (pick soak_apps)
+  in
+  Printf.sprintf {|{"id":"w%d",%s}|} i body
+
+(* 20,000 requests in batches of 8, each followed by a flush, through
+   a server whose emit keeps nothing: the live heap after request
+   20,000 must be within 1% of the live heap after request 2,000.
+   Returns the summary. *)
+let soak_flat_memory ~first =
+  let total = 20_000 and probe = 2_000 in
+  let sent = ref 0 and flush_next = ref false and readings = ref [] in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let source () =
+    if !flush_next then begin
+      flush_next := false;
+      Some {|{"kind":"flush"}|}
+    end
+    else begin
+      if !sent = probe || !sent = total then readings := live_words () :: !readings;
+      if !sent = total then None
+      else begin
+        let line = soak_request ~first !sent in
+        incr sent;
+        flush_next := !sent mod 8 = 0;
+        Some line
+      end
+    end
+  in
+  let s = with_jobs 1 (fun () -> S.run ~emit:ignore source) in
+  Alcotest.(check bool) "accounted" true (S.accounted s);
+  Alcotest.(check int) "admitted" total s.S.admitted;
+  (match !readings with
+   | [ after; before ] ->
+       if abs (after - before) * 100 > before then
+         Alcotest.failf "live words grew from %d after %d requests to %d after %d"
+           before probe after total
+   | _ -> Alcotest.fail "expected two live-heap readings");
+  s
+
+let test_soak_flat_memory () =
+  let s = soak_flat_memory ~first:{|"kind":"analyze","app":"nosuch"|} in
+  Alcotest.(check int) "one unknown app in eight" (20_000 / 8) s.S.errors
+
+(* A class that crashes on every request keeps its breaker tripping
+   for the whole run. *)
+let test_soak_flat_memory_tripping () =
+  let s = soak_flat_memory ~first:{|"kind":"boom","mode":"crash"|} in
+  Alcotest.(check int) "one crash in eight" (20_000 / 8) s.S.quarantined
 
 (* ---- the chaos soak ----------------------------------------------- *)
 
@@ -514,8 +607,13 @@ let () =
          Alcotest.test_case "byte-identical at every -j" `Quick
            test_job_count_identity;
          Alcotest.test_case "percentiles" `Quick test_latency_percentiles;
+         QCheck_alcotest.to_alcotest prop_percentile_table;
          Alcotest.test_case "backoffs count as retry attempts" `Quick
            test_retry_attempts_metric ]);
       ("soak",
        [ Alcotest.test_case "smoke contract" `Quick test_soak_smoke;
+         Alcotest.test_case "flat memory over 20k requests" `Quick
+           test_soak_flat_memory;
+         Alcotest.test_case "flat memory with a tripping breaker" `Quick
+           test_soak_flat_memory_tripping;
          Alcotest.test_case "stable" `Quick test_soak_stable ]) ]
