@@ -377,7 +377,7 @@ let () =
          Alcotest.test_case "records on raise" `Quick
            test_allocs_records_on_raise;
          Alcotest.test_case "bytes_of probe" `Quick test_allocs_bytes_of ]);
-      ("memo-keys",
+      ("model-digest",
        [ Alcotest.test_case "fresh twin models share one key" `Quick
            test_twin_models_share_a_key ]);
       ("coverage",
