@@ -1299,7 +1299,7 @@ let perf_bench () =
   in
   let m =
     leg ~section:"PERF" ~bytes:Obs.Allocs.minor_bytes_of
-      "mini-C interpreter, slot-resolved, one round = 100k loop iterations"
+      "mini-C interpreter, closure-compiled, one round = 100k loop iterations"
       [ ("interp-100k-iter-ms", spin) ]
   in
   Format.printf "  (diverged=%b)@." (m.(0).last = Minic.Interp.Diverged);

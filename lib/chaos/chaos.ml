@@ -49,8 +49,9 @@ let run_one ~config ~csv plan =
   let ingest_expected =
     Vulndb.Database.size (Vulndb.Seed_data.database ())
   in
-  let legs, events =
-    Fault.Hooks.run plan (fun () ->
+  let injector = Fault.Injector.create plan in
+  let legs =
+    Fault.Hooks.with_injector injector (fun () ->
         let matrix =
           Supervisor.run ~label:"chaos-matrix" ~config (matrix_items ())
         in
@@ -76,7 +77,7 @@ let run_one ~config ~csv plan =
           { leg_name = "ingest"; expected_items = ingest_expected;
             outcome = ingest } ])
   in
-  { plan; events = List.length events; legs }
+  { plan; events = Fault.Injector.event_count injector; legs }
 
 let run ?(seed = default_seed) ?(plans = Fault.Catalog.all)
     ?(config = Supervisor.default_config) ?csv () =
@@ -259,12 +260,13 @@ let soak ?(seed = default_seed) ?(plans = Fault.Catalog.all)
                  Resilience.Retry.seed =
                    seed lxor Hashtbl.hash plan.Fault.Plan.name } }
          in
-         let (lines, summary), events =
-           Fault.Hooks.run plan (fun () ->
+         let injector = Fault.Injector.create plan in
+         let lines, summary =
+           Fault.Hooks.with_injector injector (fun () ->
                Serve.Server.run_script ~config script)
          in
          { soak_plan = plan;
-           soak_events = List.length events;
+           soak_events = Fault.Injector.event_count injector;
            lines_emitted = List.length lines;
            summary })
       plans
@@ -389,7 +391,7 @@ let rec rm_rf path =
   else Store.Io.remove_if_exists path
 
 (* One plan: an honest reference sweep, then a cold and a warm sweep
-   against a fresh store inside [Fault.Hooks.run] — every store write
+   against a fresh store under the plan's injector — every store write
    subject to the plan's io knobs, every corrupted record degrading to
    recompute — then [fsck ~repair:true] and one honest warm run over
    the repaired store.  The robustness contract is that both faulted
@@ -403,8 +405,9 @@ let disk_run_one ~seed:_ plan =
   let dir = fresh_store_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let since before = Store.Disk.sub_stats (Store.Disk.stats ()) before in
-  let (faulted_jsons, disk_store), events =
-    Fault.Hooks.run plan (fun () ->
+  let injector = Fault.Injector.create plan in
+  let faulted_jsons, disk_store =
+    Fault.Hooks.with_injector injector (fun () ->
         let before = Store.Disk.stats () in
         let disk = Store.Disk.open_ ~dir in
         Store.Handle.with_store (Some disk) (fun () ->
@@ -426,7 +429,7 @@ let disk_run_one ~seed:_ plan =
         (j, since before))
   in
   { disk_plan = plan;
-    disk_events = List.length events;
+    disk_events = Fault.Injector.event_count injector;
     disk_store;
     sweep_matches = List.for_all (( = ) reference) faulted_jsons;
     fsck;

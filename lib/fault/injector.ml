@@ -11,7 +11,7 @@ type io_fault =
    100k times; as one run with a count it costs the injector no live
    memory per event, where a list of them would be marked by every
    major collection for the rest of the run.  [events] expands the
-   runs only when asked. *)
+   runs only when asked; [event_count] sums them. *)
 type run = { event : Event.t; mutable count : int }
 
 type t = {
@@ -19,7 +19,6 @@ type t = {
   rng : Vulndb.Prng.t;
   mutable allocs : int;
   mutable recvs : int;
-  mutable writes : int;
   mutable schedules : int;
   mutable store_writes : int;
   mutable runs : run list;
@@ -30,7 +29,6 @@ let create plan =
     rng = Vulndb.Prng.create ~seed:plan.Plan.seed;
     allocs = 0;
     recvs = 0;
-    writes = 0;
     schedules = 0;
     store_writes = 0;
     runs = [] }
@@ -41,20 +39,37 @@ let events t =
   let rec repeat r n acc = if n = 0 then acc else repeat r (n - 1) (r.event :: acc) in
   List.fold_left (fun acc r -> repeat r r.count acc) [] t.runs
 
+let event_count t = List.fold_left (fun n r -> n + r.count) 0 t.runs
+
 let m_injected = Obs.Metrics.counter "fault.injected"
 
-(* The event's text is rendered only for a live trace: the clamped-recv
-   seam alone can fire 300k times in one chaos run, and nothing but
-   [--trace] reads the strings. *)
-let record t event =
+let trace_args event = [ ("seam", Event.seam event); ("detail", Event.detail event) ]
+
+(* One more occurrence of [r]'s event.  Its text is rendered only for
+   an instant a live trace keeps: the clamped-recv seam alone can fire
+   300k times in one chaos run, and nothing but [--trace] reads the
+   strings. *)
+let repeat r =
   Obs.Metrics.incr m_injected;
-  if Obs.Trace.enabled () then
-    Obs.Span.instant ~cat:"fault"
-      ~args:[ ("seam", Event.seam event); ("detail", Event.detail event) ]
-      "fault.injected";
+  Obs.Trace.emit_with ~ph:I ~cat:"fault" "fault.injected" trace_args r.event;
+  r.count <- r.count + 1
+
+let record t event =
   match t.runs with
-  | r :: _ when r.event = event -> r.count <- r.count + 1
-  | runs -> t.runs <- { event; count = 1 } :: runs
+  | r :: _ when r.event = event -> repeat r
+  | runs ->
+      let r = { event; count = 0 } in
+      t.runs <- r :: runs;
+      repeat r
+
+(* A clamp like the newest run's extends it without building an event
+   or comparing one: a spinning recv loop clamps 100k times in a row. *)
+let clamp t ~requested ~chunk =
+  match t.runs with
+  | ({ event = Event.Recv_clamped { requested = q; chunk = k }; _ } as r) :: _
+    when q = requested && k = chunk ->
+      repeat r
+  | _ -> record t (Event.Recv_clamped { requested; chunk })
 
 let chance t = function
   | None -> false
@@ -82,7 +97,7 @@ let recv_request t ~requested ~consumed =
    | Some _ | None -> ());
   match t.plan.Plan.recv_max_chunk with
   | Some chunk when requested > chunk ->
-      record t (Event.Recv_clamped { requested; chunk });
+      clamp t ~requested ~chunk;
       chunk
   | Some _ | None -> requested
 
@@ -103,7 +118,6 @@ let mangle t s =
   match t.plan.Plan.bitflip_percent with
   | None -> s
   | Some _ as p ->
-      t.writes <- t.writes + 1;
       if String.length s = 0 || not (chance t p) then s
       else begin
         let off = Vulndb.Prng.below t.rng (String.length s) in

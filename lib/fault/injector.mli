@@ -21,6 +21,9 @@ val plan : t -> Plan.t
 val events : t -> Event.t list
 (** Every fault injected so far, oldest first. *)
 
+val event_count : t -> int
+(** [List.length (events t)], without building the list. *)
+
 val heap_alloc_fails : t -> requested:int -> bool
 (** Should this allocation be denied? *)
 

@@ -15,42 +15,36 @@ let loop_bound = 100_000
 
 exception Stop of outcome
 
-(* ---- names resolved to slots ---------------------------------------
+(* ---- compilation to closures --------------------------------------
 
-   [run] resolves every name once, before the body executes: a
-   variable becomes an index into one [value option array], a buffer
-   its stack address and capacity, an array its base and element
-   count.  A loop iteration then indexes an array instead of probing
-   string-keyed tables.  Buffers and arrays are fixed for the whole run
-   (C reserves stack slots at function entry), so resolving them early
-   changes no outcome; an undeclared buffer or array resolves to
-   [at = None] and rejects at the point of execution where a by-name
-   lookup would have failed.  Evaluation order, and with it the order
-   of every seam the machine and socket consult, is the tree walker's.
-   The retired tree walker is the differential oracle in test/. *)
+   [run] compiles the function once, before the body executes, into
+   closures over unboxed slots.  A variable becomes an index into three
+   arrays of the run's state: its int, its string, and a kind byte that
+   says which of the two it holds or that it is still unbound.  A buffer
+   compiles to its stack address and capacity, an array to its base and
+   element count.  A loop iteration then calls closures that index
+   arrays: an assignment stores an int and a kind byte, and arithmetic
+   and tests return unboxed ints, so the recv loop of ReadPOSTData
+   allocates nothing per iteration.  Buffers and arrays are fixed for
+   the whole run (C reserves stack slots at function entry), so
+   resolving them early changes no outcome; an undeclared buffer or
+   array compiles to a closure that rejects at the point of execution
+   where a by-name lookup would have failed.  Evaluation order, and
+   with it the order of every seam the machine and socket consult, is
+   the tree walker's.  The retired tree walker is the differential
+   oracle in test/. *)
 
-type region = { name : string; at : (Machine.Addr.t * int) option }
+type state = {
+  mem : Machine.Memory.t;
+  socket : Osmodel.Socket.t;
+  ints : int array;
+  strs : string array;
+  kinds : Bytes.t;  (* per slot: [unbound], [int_kind] or [str_kind] *)
+}
 
-type expr =
-  | Lit of value
-  | Var of int * string          (* slot, and the name for the error *)
-  | Buf of Machine.Addr.t        (* a buffer read as its C string *)
-  | Bin of Ast.binop * expr * expr
-  | Not of expr
-  | Atoi of expr
-  | Strlen of expr
-
-type stmt =
-  | Set of int * expr
-  | Recv of int * region * expr * expr   (* rc slot, buffer, offset, max *)
-  | Store of region * expr * expr
-  | Strcpy of region * expr
-  | Strncpy of region * expr * expr
-  | If of expr * stmt list * stmt list
-  | While of expr * stmt list
-  | Do_while of stmt list * expr
-  | Reject of string
-  | Return of expr
+let unbound = '\000'
+let int_kind = '\001'
+let str_kind = '\002'
 
 type scope = {
   slots : (string, int) Hashtbl.t;
@@ -66,179 +60,205 @@ let slot sc name =
       Hashtbl.add sc.slots name i;
       i
 
-let rec resolve_expr sc (e : Ast.expr) =
+let reject reason = raise (Stop (Rejected reason))
+let not_int () = reject "type error: expected int"
+let not_str () = reject "type error: expected string"
+let unbound_var name = reject ("unbound variable " ^ name)
+
+(* [int_of sc e] evaluates [e] where C wants an int, [str_of sc e]
+   where it wants a string; each raises the type error the other kind
+   of value meets, after evaluating it. *)
+let rec int_of sc (e : Ast.expr) : state -> int =
   match e with
-  | Ast.Int_lit n -> Lit (Vint n)
-  | Ast.Str_lit s -> Lit (Vstr s)
+  | Ast.Int_lit n -> fun _ -> n
+  | Ast.Var v when not (Hashtbl.mem sc.buffers v) ->
+      let i = slot sc v in
+      fun st ->
+        let k = Bytes.get st.kinds i in
+        if k = int_kind then st.ints.(i)
+        else if k = str_kind then not_int ()
+        else unbound_var v
+  | Ast.Str_lit _ | Ast.Var _ ->
+      let e = str_of sc e in
+      fun st ->
+        ignore (e st);
+        not_int ()
+  | Ast.Bin (op, a, b) -> bin op (int_of sc a) (int_of sc b)
+  | Ast.Not e ->
+      let e = int_of sc e in
+      fun st -> if e st <> 0 then 0 else 1
+  | Ast.Atoi e ->
+      let e = str_of sc e in
+      fun st -> Pfsm.Strcodec.atoi32 (e st)
+  | Ast.Strlen e ->
+      let e = str_of sc e in
+      fun st -> String.length (e st)
+
+and str_of sc (e : Ast.expr) : state -> string =
+  match e with
+  | Ast.Str_lit s -> fun _ -> s
   | Ast.Var v -> (
       match Hashtbl.find_opt sc.buffers v with
-      | Some (addr, _) -> Buf addr
-      | None -> Var (slot sc v, v))
-  | Ast.Bin (op, a, b) -> Bin (op, resolve_expr sc a, resolve_expr sc b)
-  | Ast.Not e -> Not (resolve_expr sc e)
-  | Ast.Atoi e -> Atoi (resolve_expr sc e)
-  | Ast.Strlen e -> Strlen (resolve_expr sc e)
+      | Some (addr, _) -> fun st -> Machine.Memory.read_cstring st.mem addr
+      | None ->
+          let i = slot sc v in
+          fun st ->
+            let k = Bytes.get st.kinds i in
+            if k = str_kind then st.strs.(i)
+            else if k = int_kind then not_str ()
+            else unbound_var v)
+  | Ast.Int_lit _ -> fun _ -> not_str ()
+  | Ast.Bin _ | Ast.Not _ | Ast.Atoi _ | Ast.Strlen _ ->
+      let e = int_of sc e in
+      fun st ->
+        ignore (e st);
+        not_str ()
 
-let buffer sc name = { name; at = Hashtbl.find_opt sc.buffers name }
-
-let rec resolve_stmt sc (s : Ast.stmt) =
-  let ex = resolve_expr sc in
-  match s with
-  | Ast.Decl_int (v, e) | Ast.Assign (v, e) -> Some (Set (slot sc v, ex e))
-  | Ast.Decl_buf _ | Ast.Decl_buf_dyn _ -> None  (* allocated up front *)
-  | Ast.Recv_into (rc, b, off, max) ->
-      Some (Recv (slot sc rc, buffer sc b, ex off, ex max))
-  | Ast.Array_store (a, idx, v) ->
-      Some (Store ({ name = a; at = List.assoc_opt a sc.arrays }, ex idx, ex v))
-  | Ast.Strcpy (b, e) -> Some (Strcpy (buffer sc b, ex e))
-  | Ast.Strncpy (b, e, bound) -> Some (Strncpy (buffer sc b, ex e, ex bound))
-  | Ast.If (c, t, e) -> Some (If (ex c, resolve_block sc t, resolve_block sc e))
-  | Ast.While (c, body) -> Some (While (ex c, resolve_block sc body))
-  | Ast.Do_while (body, c) -> Some (Do_while (resolve_block sc body, ex c))
-  | Ast.Reject reason -> Some (Reject reason)
-  | Ast.Return e -> Some (Return (ex e))
-
-and resolve_block sc stmts = List.filter_map (resolve_stmt sc) stmts
-
-(* ---- execution ----------------------------------------------------- *)
-
-type state = {
-  mem : Machine.Memory.t;
-  vars : value option array;
-  socket : Osmodel.Socket.t;
-}
-
-let truthy n = n <> 0
-
-let as_int = function
-  | Vint n -> n
-  | Vstr _ -> raise (Stop (Rejected "type error: expected int"))
-
-let as_str = function
-  | Vstr s -> s
-  | Vint _ -> raise (Stop (Rejected "type error: expected string"))
-
-(* [eval_int st e] is [as_int (eval st e)] without boxing the results
-   of arithmetic, comparisons and tests along the way: a loop condition
-   or an offset computation allocates nothing. *)
-let rec eval st = function
-  | Lit v -> v
-  | Var (i, name) -> (
-      match st.vars.(i) with
-      | Some v -> v
-      | None -> raise (Stop (Rejected ("unbound variable " ^ name))))
-  | Buf addr -> Vstr (Machine.Memory.read_cstring st.mem addr)
-  | (Bin _ | Not _ | Atoi _ | Strlen _) as e -> Vint (eval_int st e)
-
-and eval_int st = function
-  | Bin (op, a, b) -> eval_bin st op a b
-  | Not e -> if truthy (eval_int st e) then 0 else 1
-  | Atoi e -> Pfsm.Strcodec.atoi32 (as_str (eval st e))
-  | Strlen e -> String.length (as_str (eval st e))
-  | (Lit _ | Var _ | Buf _) as e -> as_int (eval st e)
-
-(* One exhaustive match, each constructor with its own arm: the
-   short-circuit ops never reach the strict-evaluation helpers, by
-   construction rather than by an [assert false] that adversarial
-   Progen ASTs could in principle reach. *)
-and eval_bin st op a b =
+(* One closure per operator: the short-circuit ops evaluate their right
+   operand only when C would, and the strict ones evaluate left to
+   right. *)
+and bin op (x : state -> int) (y : state -> int) : state -> int =
   match op with
-  | Ast.And -> if truthy (eval_int st a) && truthy (eval_int st b) then 1 else 0
-  | Ast.Or -> if truthy (eval_int st a) || truthy (eval_int st b) then 1 else 0
-  | Ast.Add -> num st a b ( + )
-  | Ast.Sub -> num st a b ( - )
-  | Ast.Mul -> num st a b ( * )
-  | Ast.Lt -> cmp st a b ( < )
-  | Ast.Le -> cmp st a b ( <= )
-  | Ast.Gt -> cmp st a b ( > )
-  | Ast.Ge -> cmp st a b ( >= )
-  | Ast.Eq -> cmp st a b ( = )
-  | Ast.Ne -> cmp st a b ( <> )
+  | Ast.And -> fun st -> if x st <> 0 && y st <> 0 then 1 else 0
+  | Ast.Or -> fun st -> if x st <> 0 || y st <> 0 then 1 else 0
+  | Ast.Add -> fun st -> let a = x st in Pfsm.Strcodec.wrap32 (a + y st)
+  | Ast.Sub -> fun st -> let a = x st in Pfsm.Strcodec.wrap32 (a - y st)
+  | Ast.Mul -> fun st -> let a = x st in Pfsm.Strcodec.wrap32 (a * y st)
+  | Ast.Lt -> fun st -> let a = x st in if a < y st then 1 else 0
+  | Ast.Le -> fun st -> let a = x st in if a <= y st then 1 else 0
+  | Ast.Gt -> fun st -> let a = x st in if a > y st then 1 else 0
+  | Ast.Ge -> fun st -> let a = x st in if a >= y st then 1 else 0
+  | Ast.Eq -> fun st -> let a = x st in if a = y st then 1 else 0
+  | Ast.Ne -> fun st -> let a = x st in if a <> y st then 1 else 0
 
-and num st a b f =
-  let x = eval_int st a and y = eval_int st b in
-  Pfsm.Strcodec.wrap32 (f x y)
-
-and cmp st a b (f : int -> int -> bool) =
-  let x = eval_int st a and y = eval_int st b in
-  if f x y then 1 else 0
+(* [v = e]: the slot takes the value and the kind of [e]. *)
+let assign sc v (e : Ast.expr) : state -> unit =
+  let i = slot sc v in
+  match e with
+  | Ast.Var w when not (Hashtbl.mem sc.buffers w) ->
+      let j = slot sc w in
+      fun st ->
+        let k = Bytes.get st.kinds j in
+        if k = unbound then unbound_var w;
+        st.ints.(i) <- st.ints.(j);
+        st.strs.(i) <- st.strs.(j);
+        Bytes.set st.kinds i k
+  | Ast.Var _ | Ast.Str_lit _ ->
+      let e = str_of sc e in
+      fun st ->
+        st.strs.(i) <- e st;
+        Bytes.set st.kinds i str_kind
+  | Ast.Int_lit _ | Ast.Bin _ | Ast.Not _ | Ast.Atoi _ | Ast.Strlen _ ->
+      let e = int_of sc e in
+      fun st ->
+        st.ints.(i) <- e st;
+        Bytes.set st.kinds i int_kind
 
 let overflow buffer ~wrote ~capacity =
   Stop (Memory_violation (Buffer_overflow { buffer; wrote; capacity }))
 
 let machine_fault addr = Stop (Memory_violation (Machine_fault addr))
 
-let copy_into_buffer st (b : region) data =
-  match b.at with
-  | None -> raise (Stop (Rejected ("no such buffer " ^ b.name)))
-  | Some (addr, capacity) -> (
-      match Machine.Cstring.strcpy st.mem ~dst:addr data with
-      | () ->
-          if String.length data + 1 > capacity then
-            raise (overflow b.name ~wrote:(String.length data + 1) ~capacity)
-      | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr))
+(* The copy step of [strcpy] and [strncpy], applied to the evaluated
+   source: the buffer's existence is checked after the source. *)
+let copy_into sc name : state -> string -> unit =
+  match Hashtbl.find_opt sc.buffers name with
+  | None -> fun _ _ -> reject ("no such buffer " ^ name)
+  | Some (addr, capacity) ->
+      fun st data ->
+        match Machine.Cstring.strcpy st.mem ~dst:addr data with
+        | () ->
+            if String.length data + 1 > capacity then
+              raise (overflow name ~wrote:(String.length data + 1) ~capacity)
+        | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr)
 
-let rec exec st = function
-  | Set (i, e) -> st.vars.(i) <- Some (eval st e)
-  | Recv (rc_slot, b, off_e, max_e) -> (
-      match b.at with
-      | None -> raise (Stop (Rejected ("no such buffer " ^ b.name)))
-      | Some (addr, capacity) -> (
-          let off = eval_int st off_e in
-          let maxlen = eval_int st max_e in
-          let chunk = Osmodel.Socket.recv st.socket maxlen in
-          let rc = String.length chunk in
-          match Machine.Memory.write_string st.mem (addr + off) chunk with
-          | () ->
-              st.vars.(rc_slot) <- Some (Vint rc);
-              if rc > 0 && off + rc > capacity then
-                raise (overflow b.name ~wrote:(off + rc) ~capacity)
-          | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr)))
-  | Store (a, idx_e, v_e) -> (
-      match a.at with
-      | None -> raise (Stop (Rejected ("no such array " ^ a.name)))
-      | Some (base, count) -> (
-          let idx = eval_int st idx_e in
-          let v = eval_int st v_e in
-          match Machine.Memory.write_i32 st.mem (base + (4 * idx)) v with
-          | () ->
-              if idx < 0 || idx >= count then
-                raise
-                  (Stop (Memory_violation (Array_oob { array = a.name; index = idx })))
-          | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr)))
-  | Strcpy (b, e) -> copy_into_buffer st b (as_str (eval st e))
-  | Strncpy (b, e, bound_e) ->
-      let s = as_str (eval st e) in
-      let bound = eval_int st bound_e in
-      let copy = if bound < 0 then s else String.sub s 0 (min bound (String.length s)) in
-      copy_into_buffer st b copy
-  | If (cond, then_, else_) ->
-      if truthy (eval_int st cond) then exec_block st then_
-      else exec_block st else_
-  | While (cond, body) ->
-      let iterations = ref 0 in
-      while truthy (eval_int st cond) do
-        incr iterations;
-        if !iterations > loop_bound then raise (Stop Diverged);
-        exec_block st body
-      done
-  | Do_while (body, cond) ->
-      let iterations = ref 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        incr iterations;
-        if !iterations > loop_bound then raise (Stop Diverged);
-        exec_block st body;
-        continue_ := truthy (eval_int st cond)
-      done
-  | Reject reason -> raise (Stop (Rejected reason))
-  | Return e -> raise (Stop (Returned (eval_int st e)))
-
-and exec_block st = function
-  | [] -> ()
+let rec seq = function
+  | [] -> fun _ -> ()
+  | [ s ] -> s
   | s :: rest ->
-      exec st s;
-      exec_block st rest
+      let rest = seq rest in
+      fun st ->
+        s st;
+        rest st
+
+let rec stmt sc (s : Ast.stmt) : (state -> unit) option =
+  match s with
+  | Ast.Decl_int (v, e) | Ast.Assign (v, e) -> Some (assign sc v e)
+  | Ast.Decl_buf _ | Ast.Decl_buf_dyn _ -> None  (* allocated up front *)
+  | Ast.Recv_into (rc, b, off, max) ->
+      let rc = slot sc rc in
+      Some
+        (match Hashtbl.find_opt sc.buffers b with
+         | None -> fun _ -> reject ("no such buffer " ^ b)
+         | Some (addr, capacity) -> (
+             let off = int_of sc off and max = int_of sc max in
+             fun st ->
+               let off = off st in
+               let maxlen = max st in
+               let chunk = Osmodel.Socket.recv st.socket maxlen in
+               let n = String.length chunk in
+               match Machine.Memory.write_string st.mem (addr + off) chunk with
+               | () ->
+                   st.ints.(rc) <- n;
+                   Bytes.set st.kinds rc int_kind;
+                   if n > 0 && off + n > capacity then
+                     raise (overflow b ~wrote:(off + n) ~capacity)
+               | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr)))
+  | Ast.Array_store (a, idx, v) ->
+      Some
+        (match List.assoc_opt a sc.arrays with
+         | None -> fun _ -> reject ("no such array " ^ a)
+         | Some (base, count) -> (
+             let idx = int_of sc idx and v = int_of sc v in
+             fun st ->
+               let idx = idx st in
+               let v = v st in
+               match Machine.Memory.write_i32 st.mem (base + (4 * idx)) v with
+               | () ->
+                   if idx < 0 || idx >= count then
+                     raise (Stop (Memory_violation (Array_oob { array = a; index = idx })))
+               | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr)))
+  | Ast.Strcpy (b, e) ->
+      let e = str_of sc e and copy = copy_into sc b in
+      Some (fun st -> copy st (e st))
+  | Ast.Strncpy (b, e, bound) ->
+      let e = str_of sc e and bound = int_of sc bound and copy = copy_into sc b in
+      Some
+        (fun st ->
+           let s = e st in
+           let bound = bound st in
+           copy st (if bound < 0 then s else String.sub s 0 (min bound (String.length s))))
+  | Ast.If (c, then_, else_) ->
+      let c = int_of sc c and then_ = block sc then_ and else_ = block sc else_ in
+      Some (fun st -> if c st <> 0 then then_ st else else_ st)
+  | Ast.While (c, body) ->
+      let c = int_of sc c and body = block sc body in
+      Some
+        (fun st ->
+           let iterations = ref 0 in
+           while c st <> 0 do
+             incr iterations;
+             if !iterations > loop_bound then raise (Stop Diverged);
+             body st
+           done)
+  | Ast.Do_while (body, c) ->
+      let body = block sc body and c = int_of sc c in
+      Some
+        (fun st ->
+           let iterations = ref 0 in
+           let continue_ = ref true in
+           while !continue_ do
+             incr iterations;
+             if !iterations > loop_bound then raise (Stop Diverged);
+             body st;
+             continue_ := c st <> 0
+           done)
+  | Ast.Reject reason -> Some (fun _ -> reject reason)
+  | Ast.Return e ->
+      let e = int_of sc e in
+      Some (fun st -> raise (Stop (Returned (e st))))
+
+and block sc stmts = seq (List.filter_map (stmt sc) stmts)
 
 (* ---- a run --------------------------------------------------------- *)
 
@@ -270,17 +290,33 @@ let run ?(arrays = []) ?(socket = "") (f : Ast.func) ~args =
   let stack = Machine.Process.stack proc in
   let sc = { slots = Hashtbl.create 16; buffers = Hashtbl.create 4; arrays = array_layout } in
   let param_slots = List.map (fun p -> slot sc (param_name p)) f.Ast.params in
-  (* A dynamic buffer's size sees only the parameters (as many as the
-     arguments cover) and no buffers: a probe state over the slots
-     resolved so far. *)
-  let size_of e =
-    let e = resolve_expr { sc with buffers = Hashtbl.create 1 } e in
-    let vars = Array.make (Hashtbl.length sc.slots) None in
-    (try List.iter2 (fun i arg -> vars.(i) <- Some arg) param_slots args
+  (* A state over the slots numbered so far, with the parameters bound
+     as far as the arguments cover them. *)
+  let state socket =
+    let n = Hashtbl.length sc.slots in
+    let st =
+      { mem; socket; ints = Array.make n 0; strs = Array.make n "";
+        kinds = Bytes.make n unbound }
+    in
+    (try
+       List.iter2
+         (fun i arg ->
+            match arg with
+            | Vint v ->
+                st.ints.(i) <- v;
+                Bytes.set st.kinds i int_kind
+            | Vstr s ->
+                st.strs.(i) <- s;
+                Bytes.set st.kinds i str_kind)
+         param_slots args
      with Invalid_argument _ -> ());
-    match eval { mem; vars; socket = Osmodel.Socket.of_string "" } e with
-    | Vint n -> n
-    | Vstr _ -> 0
+    st
+  in
+  (* A dynamic buffer's size sees only the parameters and no buffers. *)
+  let size_of e =
+    let e = int_of { sc with buffers = Hashtbl.create 1 } e in
+    match e (state (Osmodel.Socket.of_string "")) with
+    | n -> n
     | exception Stop _ -> 0
   in
   let bufs = buffer_decls ~size_of f.Ast.body in
@@ -290,20 +326,18 @@ let run ?(arrays = []) ?(socket = "") (f : Ast.func) ~args =
   List.iter
     (fun (name, n) -> Hashtbl.replace sc.buffers name (Machine.Stack.local_addr stack name, n))
     bufs;
-  let body = resolve_block sc f.Ast.body in
-  let vars = Array.make (Hashtbl.length sc.slots) None in
+  let body = block sc f.Ast.body in
   (try
      List.iter2
-       (fun (param, i) arg ->
+       (fun param arg ->
           match param, arg with
-          | Ast.Int_param _, Vint _ | Ast.Str_param _, Vstr _ -> vars.(i) <- Some arg
+          | Ast.Int_param _, Vint _ | Ast.Str_param _, Vstr _ -> ()
           | Ast.Int_param p, _ | Ast.Str_param p, _ ->
               invalid_arg ("Interp.run: argument type mismatch for " ^ p))
-       (List.combine f.Ast.params param_slots)
-       args
+       f.Ast.params args
    with Invalid_argument _ ->
      invalid_arg "Interp.run: wrong number or types of arguments");
-  match exec_block { mem; vars; socket = Osmodel.Socket.of_string socket } body with
+  match body (state (Osmodel.Socket.of_string socket)) with
   | () -> Returned 0
   | exception Stop outcome -> outcome
 

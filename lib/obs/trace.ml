@@ -80,7 +80,9 @@ let enabled () = Atomic.get enabled_flag
 
 (* ---- emission ------------------------------------------------------ *)
 
-let emit ~ph ?(cat = "") ?(args = []) name =
+(* [render x] builds the args only for an event the slot keeps: a
+   caller that fires 300k times pays for the first [cap_per_slot]. *)
+let emit_with ~ph ?(cat = "") name render x =
   if Atomic.get enabled_flag then begin
     let d = Domain.DLS.get dls in
     let ep = Atomic.get epoch in
@@ -97,11 +99,13 @@ let emit ~ph ?(cat = "") ?(args = []) name =
       in
       d.events <-
         { epoch = ep - Atomic.get epoch_base; slot = d.cur_slot; seq = d.seq;
-          ph; name; cat; args; wall_us }
+          ph; name; cat; args = render x; wall_us }
         :: d.events;
       d.seq <- d.seq + 1
     end
   end
+
+let emit ~ph ?cat ?(args = []) name = emit_with ~ph ?cat name Fun.id args
 
 (* ---- Par hooks ----------------------------------------------------- *)
 

@@ -43,6 +43,12 @@ val emit :
 (** Record one event in the calling domain's buffer.  No-op while
     tracing is off.  Prefer {!Span.with_span} / {!Span.instant}. *)
 
+val emit_with :
+  ph:ph -> ?cat:string -> string -> ('a -> (string * string) list) -> 'a -> unit
+(** [emit_with ~ph name render x] is [emit ~ph ~args:(render x) name],
+    except that [render] runs only for an event the calling slot keeps:
+    past {!cap_per_slot} the event is counted as dropped unrendered. *)
+
 val drain : unit -> event list
 (** Stop recording, merge every domain's buffer into the deterministic
     order, and clear the buffers. *)

@@ -1,5 +1,5 @@
 (* The retired tree-walking mini-C interpreter, kept as the
-   differential oracle for the slot-resolved {!Minic.Interp}: every
+   differential oracle for the closure-compiled {!Minic.Interp}: every
    variable, buffer and array access looks its name up in a Hashtbl or
    an assoc list, exactly as the production interpreter did before
    names were resolved to slots.  It shares the production result

@@ -451,6 +451,22 @@ let test_read_post_data_dos_hang () =
   | I.Diverged -> ()
   | o -> Alcotest.fail (Format.asprintf "%a" I.pp_outcome o)
 
+(* The spin costs no allocation per iteration: a silent peer keeps the
+   #6255 loop going to the bound, with no plan and with every recv
+   clamped (short-recv), in fewer minor words than the 100k iterations
+   of either run. *)
+let test_read_post_data_spin_allocates_nothing () =
+  let spin () = C.run_read_post_data C.read_post_data_buggy ~content_len:500 ~body:"" in
+  List.iter
+    (fun (label, run) ->
+       let before = Gc.minor_words () in
+       let outcome = run () in
+       let words = Gc.minor_words () -. before in
+       Alcotest.(check bool) (label ^ ": diverged") true (outcome = I.Diverged);
+       if words >= 8192. then Alcotest.failf "%s: %.0f minor words" label words)
+    [ ("no plan", spin);
+      ("short-recv", fun () -> Fault.Hooks.with_plan Fault.Catalog.short_recv spin) ]
+
 let test_read_post_data_static_blindspot () =
   (* Path-condition extraction cannot tell || from &&: both recv
      sites are unguarded on the first iteration.  The dynamic
@@ -521,7 +537,7 @@ let test_parser_error_reports_line () =
   | Ok _ -> Alcotest.fail "parsed garbage"
   | Error e -> Alcotest.(check int) "line 2" 2 e.Minic.Parser.line
 
-(* ---- the slot-resolved interpreter against the tree-walking oracle -- *)
+(* ---- the compiled interpreter against the tree-walking oracle ------ *)
 
 (* What one run shows the outside world: its outcome or escaping
    exception, the fault events its injector recorded, and the socket
@@ -667,6 +683,17 @@ let test_interp_oracle_corpus () =
          (Staticcheck.Absint.analyze ~config f).Staticcheck.Absint.raws)
     C.all
 
+(* The #6255 spin under every plan, where Progen's random programs
+   rarely reach the loop bound: a silent peer, and one that sends half
+   of what it declares. *)
+let test_interp_oracle_spin () =
+  List.iter
+    (fun peer ->
+       let socket = String.make peer 'p' in
+       if not (agrees ~socket C.read_post_data_buggy ~args:[ I.Vint 4096 ]) then
+         Alcotest.failf "%d-byte peer diverges from the oracle" peer)
+    [ 0; 2048 ]
+
 let () =
   Alcotest.run "minic"
     [ ("ast", [ Alcotest.test_case "pretty printing" `Quick test_pp_renders_cish_source ]);
@@ -704,6 +731,8 @@ let () =
          Alcotest.test_case "#5774 from source" `Quick test_read_post_data_5774;
          Alcotest.test_case "&& fix safe" `Quick test_read_post_data_fixed_safe;
          Alcotest.test_case "DoS hang" `Quick test_read_post_data_dos_hang;
+         Alcotest.test_case "spin allocates nothing per iteration" `Quick
+           test_read_post_data_spin_allocates_nothing;
          Alcotest.test_case "static blind spot" `Quick
            test_read_post_data_static_blindspot ]);
       ("parser",
@@ -720,6 +749,7 @@ let () =
        [ Alcotest.test_case "evaluation order" `Quick test_interp_evaluation_order;
          Alcotest.test_case "lint corpus x candidates x plans" `Quick
            test_interp_oracle_corpus;
+         Alcotest.test_case "#6255 spin x plans" `Quick test_interp_oracle_spin;
          QCheck_alcotest.to_alcotest prop_interp_matches_oracle ]);
       ("automatic tool",
        [ Alcotest.test_case "verify refutes/verifies" `Quick

@@ -642,6 +642,31 @@ let test_chaos_stable () =
   Alcotest.(check bool) "same seed, byte-identical JSON" true
     (Chaos.stable ~plans:Fault.Catalog.smoke ())
 
+(* Chaos prints [Injector.event_count], not the expanded event list:
+   over the three legs a chaos plan runs (the matrix and the lint sweep
+   supervised, the curated CSV ingested), the count must be the list's
+   length under every catalog plan. *)
+let test_chaos_event_count () =
+  let csv = Vulndb.Csv.of_database (Vulndb.Seed_data.database ()) in
+  let matrix =
+    List.map
+      (fun (app, entries) ->
+         { Sup.id = "matrix:" ^ app; resource = app;
+           work = (fun () -> List.length (entries ())) })
+      Exploit.Consistency.app_groups
+  in
+  List.iter
+    (fun (plan : Fault.Plan.t) ->
+       let injector = Fault.Injector.create plan in
+       Fault.Hooks.with_injector injector (fun () ->
+           ignore (Sup.run ~label:"chaos-matrix" matrix);
+           ignore (Staticcheck.Linter.supervised_sweep ());
+           ignore (R.Ingest.csv ~label:"chaos-ingest" csv));
+       Alcotest.(check int) plan.Fault.Plan.name
+         (List.length (Fault.Injector.events injector))
+         (Fault.Injector.event_count injector))
+    Fault.Catalog.all
+
 let prop_chaos_deterministic =
   let open QCheck in
   Test.make ~name:"chaos: same seed, identical run report" ~count:8 small_nat
@@ -691,4 +716,6 @@ let () =
       ("chaos",
        [ Alcotest.test_case "catalog contract" `Quick test_chaos_contract;
          Alcotest.test_case "stable smoke" `Quick test_chaos_stable;
+         Alcotest.test_case "event count = events, every plan" `Quick
+           test_chaos_event_count;
          QCheck_alcotest.to_alcotest prop_chaos_deterministic ]) ]
