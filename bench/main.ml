@@ -419,30 +419,35 @@ let fig2 () =
   print_newline ();
   print_string (Pfsm.Dot.of_primitive pfsm)
 
-let run_model_section ~title ~model ~scenarios ~rows =
+let table_app name = Option.get (Exploit.Table.find name)
+
+(* A figure's model is the one the application's exploit case
+   attacks, analysed under that exploit and its first benign input. *)
+let figure name =
+  let app = table_app name in
+  let exploit = app.exploit.run () in
+  let benign =
+    List.find (fun (c : Exploit.Table.case) -> c.expected = Apps.Outcome.Normal) app.cases
+  in
+  (Lazy.force exploit.model, [ exploit.scenario; (benign.run ()).scenario ])
+
+let run_model_section ~title name =
+  let model, scenarios = figure name in
   section title;
   Format.printf "%a@." Pfsm.Pretty.pp_model model;
   let report = Pfsm.Analysis.analyze model ~scenarios in
   Format.printf "%a@." Pfsm.Pretty.pp_report report;
-  Format.printf "simulation rows:@.%a@." Exploit.Driver.pp_rows rows
+  Format.printf "simulation rows:@.%a@." Exploit.Driver.pp_rows
+    (Exploit.Driver.rows (table_app name))
 
 let fig3 () =
-  let app = Apps.Sendmail.setup () in
   run_model_section
-    ~title:"FIG3 -- Sendmail signed integer overflow, Bugtraq #3163 (Figure 3)"
-    ~model:(Apps.Sendmail.model app)
-    ~scenarios:[ Apps.Sendmail.exploit_scenario app; Apps.Sendmail.benign_scenario ]
-    ~rows:(Exploit.Driver.sendmail_rows ())
+    ~title:"FIG3 -- Sendmail signed integer overflow, Bugtraq #3163 (Figure 3)" "sendmail"
 
 let fig4 () =
-  let app = Apps.Nullhttpd.setup ~config:Apps.Nullhttpd.v0_5_1 () in
-  let cl, body = Exploit.Attack.nullhttpd_6255 app in
   run_model_section
     ~title:"FIG4 -- NULL HTTPD heap overflow, #5774 and the new #6255 (Figure 4)"
-    ~model:(Apps.Nullhttpd.model app)
-    ~scenarios:
-      [ Apps.Nullhttpd.scenario ~content_len:cl ~body; Apps.Nullhttpd.benign_scenario ]
-    ~rows:(Exploit.Driver.nullhttpd_rows ());
+    "nullhttpd";
   (match Discovery.Differential.rediscover_6255 () with
    | Some finding ->
        Format.printf "@.new vulnerability discovered while modeling the known one:@.%a@."
@@ -450,10 +455,7 @@ let fig4 () =
    | None -> Format.printf "@.discovery sweep found nothing (unexpected)@.")
 
 let fig5 () =
-  run_model_section ~title:"FIG5 -- xterm log file race condition (Figure 5)"
-    ~model:(Apps.Xterm.model ())
-    ~scenarios:[ Apps.Xterm.race_scenario; Apps.Xterm.benign_scenario ]
-    ~rows:(Exploit.Driver.xterm_rows ());
+  run_model_section ~title:"FIG5 -- xterm log file race condition (Figure 5)" "xterm";
   Format.printf "@.schedule exploration: %d interleavings, winners:@."
     Apps.Xterm.total_interleavings;
   List.iter
@@ -463,37 +465,28 @@ let fig5 () =
     (Apps.Xterm.run_race { Apps.Xterm.open_nofollow = false })
 
 let fig6 () =
-  let app = Apps.Rwall.setup () in
-  run_model_section
-    ~title:"FIG6 -- Solaris rwall arbitrary file corruption (Figure 6)"
-    ~model:(Apps.Rwall.model app)
-    ~scenarios:[ Apps.Rwall.attack_scenario; Apps.Rwall.benign_scenario ]
-    ~rows:(Exploit.Driver.rwall_rows ())
+  run_model_section ~title:"FIG6 -- Solaris rwall arbitrary file corruption (Figure 6)"
+    "rwall"
 
 let fig7 () =
-  let app = Apps.Iis.setup () in
   run_model_section
-    ~title:"FIG7 -- IIS superfluous filename decoding, Bugtraq #2708 (Figure 7)"
-    ~model:(Apps.Iis.model app)
-    ~scenarios:
-      [ Apps.Iis.scenario ~path:Exploit.Attack.iis_path;
-        Apps.Iis.scenario ~path:Apps.Iis.benign_path ]
-    ~rows:(Exploit.Driver.iis_rows ());
+    ~title:"FIG7 -- IIS superfluous filename decoding, Bugtraq #2708 (Figure 7)" "iis";
   Format.printf "@.companion [21] models (classified in Table 2):@.";
   Format.printf "%a@." Exploit.Driver.pp_rows
-    (Exploit.Driver.ghttpd_rows () @ Exploit.Driver.rpc_statd_rows ())
+    (List.concat_map
+       (fun name -> Exploit.Driver.rows (table_app name))
+       [ "ghttpd"; "rpcstatd" ])
 
 let all_models () =
-  [ ("Sendmail Signed Integer Overflow (Fig. 3)",
-     Apps.Sendmail.model (Apps.Sendmail.setup ()));
-    ("NULL HTTPD Heap Overflow (Fig. 4)",
-     Apps.Nullhttpd.model (Apps.Nullhttpd.setup ()));
-    ("Rwall File Corruption (Fig. 6)", Apps.Rwall.model (Apps.Rwall.setup ()));
-    ("IIS Filename Decoding (Fig. 7)", Apps.Iis.model (Apps.Iis.setup ()));
-    ("Xterm File Race Condition (Fig. 5)", Apps.Xterm.model ());
-    ("GHTTPD Buffer Overflow on Stack [21]", Apps.Ghttpd.model (Apps.Ghttpd.setup ()));
-    ("rpc.statd format string vulnerability [21]",
-     Apps.Rpc_statd.model (Apps.Rpc_statd.setup ())) ]
+  List.map
+    (fun (title, name) -> (title, (table_app name).model ()))
+    [ ("Sendmail Signed Integer Overflow (Fig. 3)", "sendmail");
+      ("NULL HTTPD Heap Overflow (Fig. 4)", "nullhttpd");
+      ("Rwall File Corruption (Fig. 6)", "rwall");
+      ("IIS Filename Decoding (Fig. 7)", "iis");
+      ("Xterm File Race Condition (Fig. 5)", "xterm");
+      ("GHTTPD Buffer Overflow on Stack [21]", "ghttpd");
+      ("rpc.statd format string vulnerability [21]", "rpcstatd") ]
 
 let fig8 () =
   section "FIG8 -- The three generic pFSM types (Figure 8)";
@@ -648,13 +641,11 @@ let baselines () =
                  ~scenario)))
       (Pfsm.Model.operation_names model)
   in
-  let sendmail = Apps.Sendmail.setup () in
-  metf_case "Sendmail #3163" (Apps.Sendmail.model sendmail)
-    (Apps.Sendmail.exploit_scenario sendmail);
-  let nh = Apps.Nullhttpd.setup ~config:Apps.Nullhttpd.v0_5_1 () in
-  let cl, body = Exploit.Attack.nullhttpd_6255 nh in
-  metf_case "NULL HTTPD #6255" (Apps.Nullhttpd.model nh)
-    (Apps.Nullhttpd.scenario ~content_len:cl ~body);
+  List.iter
+    (fun (label, name) ->
+       let model, scenarios = figure name in
+       metf_case label model (List.hd scenarios))
+    [ ("Sendmail #3163", "sendmail"); ("NULL HTTPD #6255", "nullhttpd") ];
   Format.printf
     "@.(the Markov metric needs the retry probability as an input; the pFSM model \
      needs only the predicates -- the contrast Section 2 draws)@.@.";
@@ -678,24 +669,12 @@ let baselines () =
          (List.length (Baselines.Attack_graph.attack_paths g ~max_paths:50))
          cut
          (Baselines.Attack_graph.agrees_with_lemma g))
-    [ ("Sendmail #3163",
-       Pfsm.Analysis.analyze (Apps.Sendmail.model sendmail)
-         ~scenarios:
-           [ Apps.Sendmail.exploit_scenario sendmail; Apps.Sendmail.benign_scenario ]);
-      ("NULL HTTPD #6255",
-       Pfsm.Analysis.analyze (Apps.Nullhttpd.model nh)
-         ~scenarios:
-           [ Apps.Nullhttpd.scenario ~content_len:cl ~body;
-             Apps.Nullhttpd.benign_scenario ]);
-      ("xterm race",
-       Pfsm.Analysis.analyze (Apps.Xterm.model ())
-         ~scenarios:[ Apps.Xterm.race_scenario; Apps.Xterm.benign_scenario ]);
-      ("IIS #2708",
-       let app = Apps.Iis.setup () in
-       Pfsm.Analysis.analyze (Apps.Iis.model app)
-         ~scenarios:
-           [ Apps.Iis.scenario ~path:Exploit.Attack.iis_path;
-             Apps.Iis.scenario ~path:Apps.Iis.benign_path ]) ]
+    (List.map
+       (fun (label, name) ->
+          let model, scenarios = figure name in
+          (label, Pfsm.Analysis.analyze model ~scenarios))
+       [ ("Sendmail #3163", "sendmail"); ("NULL HTTPD #6255", "nullhttpd");
+         ("xterm race", "xterm"); ("IIS #2708", "iis") ])
 
 let ablation_interleavings () =
   section "ABLATION -- interleaving explosion (why races need exhaustive exploration)";

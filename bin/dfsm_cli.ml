@@ -11,15 +11,11 @@
          arguments (usage is printed to stderr)
      125 unexpected internal error *)
 
-(* The application registry lives in Serve.Handlers — one source of
-   truth for the CLI's positional APP argument and the server's
-   analyze/exploit requests.  Unknown names cannot reach these through
-   the CLI (APP is a cmdliner enum). *)
-let apps = Serve.Handlers.apps
-
-let model_of = Serve.Handlers.model_of
-
-let scenarios_of = Serve.Handlers.scenarios_of
+(* The application registry is Exploit.Table — one source of truth
+   for the CLI's positional APP argument and the server's
+   analyze/exploit requests.  Unknown names cannot reach the commands
+   through the CLI (APP is a cmdliner enum over the table). *)
+module Table = Exploit.Table
 
 (* A failed analysis gate: say why on stderr, exit 1. *)
 let gate ~ok msg =
@@ -141,9 +137,9 @@ let stats jobs seed =
   Format.printf "%a@." Vulndb.Stats.pp_breakdown db;
   `Ok 0
 
-let analyze app =
-  let model = model_of app in
-  let scenarios = scenarios_of app in
+let analyze (app : Table.app) =
+  let model = app.model () in
+  let scenarios = app.scenarios () in
   Format.printf "%a@." Pfsm.Pretty.pp_model model;
   let report = Pfsm.Analysis.analyze model ~scenarios in
   Format.printf "%a@." Pfsm.Pretty.pp_report report;
@@ -151,8 +147,8 @@ let analyze app =
     (Pfsm.Analysis.taxonomy_matrix model);
   `Ok 0
 
-let dot app =
-  print_string (Pfsm.Dot.of_model (model_of app));
+let dot (app : Table.app) =
+  print_string (Pfsm.Dot.of_model (app.model ()));
   `Ok 0
 
 let exploit_cmd jobs store resume checkpoint stop_after trace metrics =
@@ -184,10 +180,10 @@ let consistency () =
   Format.printf "all consistent: %b@." ok;
   gate ~ok "consistency: model and simulation disagree"
 
-let discover jobs app =
+let discover jobs (app : Table.app) =
   with_jobs jobs @@ fun () ->
   let differential =
-    match app with
+    match app.name with
     | "nullhttpd" -> (
         match Discovery.Differential.rediscover_6255 () with
         | Some finding ->
@@ -198,12 +194,12 @@ let discover jobs app =
             0)
     | _ -> 0
   in
-  let findings = Discovery.Search.discover (model_of app) ~scenarios:(scenarios_of app) in
+  let findings = Discovery.Search.discover (app.model ()) ~scenarios:(app.scenarios ()) in
   List.iter (fun f -> Format.printf "%a@.@." Discovery.Finding.pp f) findings;
   Format.printf "%d hidden-path finding(s)@." (List.length findings);
   if List.length findings + differential = 0 then `Ok 0
   else begin
-    Printf.eprintf "discover: hidden path found in %s\n%!" app;
+    Printf.eprintf "discover: hidden path found in %s\n%!" app.name;
     `Ok 1
   end
 
@@ -224,13 +220,12 @@ let metrics jobs store json =
   Pfsm.Analysis.memo_reset ();
   let coverage =
     List.fold_left
-      (fun acc app ->
+      (fun acc (app : Table.app) ->
         let report =
-          Pfsm.Analysis.analyze ~memo:true (model_of app)
-            ~scenarios:(scenarios_of app)
+          Pfsm.Analysis.analyze ~memo:true (app.model ()) ~scenarios:(app.scenarios ())
         in
         Pfsm.Coverage.merge acc (Pfsm.Coverage.of_report report))
-      Pfsm.Coverage.empty apps
+      Pfsm.Coverage.empty Table.apps
   in
   let snap = Obs.Metrics.snapshot () in
   let memo = Pfsm.Analysis.memo_stats () in
@@ -252,7 +247,9 @@ let metrics jobs store json =
                 | Some s -> [ ("store", Store.Disk.stats_to_json s) ])
              @ [ ("obs", Obs.Metrics.to_json snap) ])))
   else begin
-    let ms = List.map (fun a -> Pfsm.Metrics.of_model (model_of a)) apps in
+    let ms =
+      List.map (fun (a : Table.app) -> Pfsm.Metrics.of_model (a.model ())) Table.apps
+    in
     Format.printf "%a@." Pfsm.Metrics.pp_table ms;
     Format.printf "%a@." Pfsm.Coverage.pp coverage;
     Format.printf "analysis memo: %d lookups, %d hits, %d misses@."
@@ -457,8 +454,9 @@ let export dir =
     Format.printf "wrote %s@." path
   in
   List.iter
-    (fun app -> write (app ^ ".dot") (Pfsm.Dot.of_model (model_of app)))
-    apps;
+    (fun (app : Table.app) ->
+       write (app.name ^ ".dot") (Pfsm.Dot.of_model (app.model ())))
+    Table.apps;
   let fig2 =
     Pfsm.Primitive.make ~name:"pFSM" ~kind:Pfsm.Taxonomy.Content_attribute_check
       ~activity:"accept an index x"
@@ -470,12 +468,12 @@ let export dir =
   in
   write "figure2_pfsm.dot" (Pfsm.Dot.of_primitive fig2);
   List.iter
-    (fun app ->
-       let model = model_of app in
-       let report = Pfsm.Analysis.analyze model ~scenarios:(scenarios_of app) in
-       write (app ^ "_attack_graph.dot")
+    (fun (app : Table.app) ->
+       let model = app.model () in
+       let report = Pfsm.Analysis.analyze model ~scenarios:(app.scenarios ()) in
+       write (app.name ^ "_attack_graph.dot")
          (Baselines.Attack_graph.to_dot (Baselines.Attack_graph.of_report report)))
-    apps;
+    Table.apps;
   Format.printf "render with: dot -Tsvg %s/sendmail.dot > sendmail.svg@." dir;
   `Ok 0
 
@@ -694,12 +692,16 @@ let classify jobs store seed total chunk smoke json trace metrics =
 
 open Cmdliner
 
+(* The enum is over names: cmdliner compares enum values, and an
+   application carries closures. *)
 let app_arg =
-  let doc =
-    Printf.sprintf "Application to analyse: %s." (String.concat ", " apps)
+  let names = List.map (fun (a : Table.app) -> a.name) Table.apps in
+  let doc = Printf.sprintf "Application to analyse: %s." (String.concat ", " names) in
+  let arg =
+    Arg.(required & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
+         & info [] ~docv:"APP" ~doc)
   in
-  Arg.(required & pos 0 (some (enum (List.map (fun a -> (a, a)) apps))) None
-       & info [] ~docv:"APP" ~doc)
+  Term.(const (fun n -> Option.get (Table.find n)) $ arg)
 
 let seed_arg =
   Arg.(value & opt int 20021130 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")

@@ -53,8 +53,6 @@ let free_slot t = Machine.Got.slot_addr (Machine.Process.got t.proc) "free"
 let usable_for ~content_len =
   Machine.Heap.request_size (content_len + 1024) - 8
 
-let predicted_postdata t = t.work_region
-
 (* free() as the program sees it: an indirect call through the GOT.
    A corrupted slot means the "call" lands in attacker code instead
    of libc's free. *)

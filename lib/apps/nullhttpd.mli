@@ -52,9 +52,6 @@ val free_slot : t -> Machine.Addr.t
 val usable_for : content_len:int -> int
 (** Usable bytes of the buffer [calloc(contentLen + 1024)] yields. *)
 
-val predicted_postdata : t -> Machine.Addr.t
-(** Where [PostData] will land (the allocator is deterministic). *)
-
 val handle_post : t -> content_len:int -> body:string -> Outcome.t
 (** The full request lifecycle: (0.5.1 only) contentLen check,
     [ReadPOSTData], [free(PostData)], then the server's next

@@ -90,8 +90,6 @@ let run_attack t ~message =
 
 type race_config = { recheck_at_open : bool }
 
-let vulnerable_race = { recheck_at_open = false }
-
 let pts_path = "/dev/pts/25"
 
 let passwd_path = "/etc/passwd"

@@ -48,8 +48,6 @@ type race_config = {
       (** protection: re-stat at open, refuse non-terminals *)
 }
 
-val vulnerable_race : race_config
-
 type race_state
 
 val pts_path : string

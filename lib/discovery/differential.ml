@@ -61,14 +61,3 @@ let rediscover_6255 ?(seed = 42) () =
 let confirm_fix ?(seed = 42) () =
   let cases = nullhttpd_sweep ~seed ~config:Apps.Nullhttpd.fully_fixed () in
   List.for_all (fun c -> not c.divergent) cases
-
-let pp_cases ppf cases =
-  Format.fprintf ppf "@[<v>%-34s %-6s %-10s %s@," "input" "spec" "divergent" "outcome";
-  List.iter
-    (fun c ->
-       Format.fprintf ppf "%-34s %-6s %-10s %s@," c.input_desc
-         (if c.spec_holds then "ok" else "VIOL")
-         (if c.divergent then "YES" else "-")
-         (O.to_string c.outcome))
-    cases;
-  Format.fprintf ppf "@]"

@@ -27,5 +27,3 @@ val rediscover_6255 : ?seed:int -> unit -> Finding.t option
 
 val confirm_fix : ?seed:int -> unit -> bool
 (** The same sweep against the [&&]-fixed build finds no divergence. *)
-
-val pp_cases : Format.formatter -> case list -> unit

@@ -25,8 +25,3 @@ let coverage ~covered ~total =
   if covered >= total then Complete else Partial { covered; total }
 
 let complete = function Complete -> true | Partial _ -> false
-
-let pp_coverage ppf = function
-  | Complete -> Format.fprintf ppf "complete"
-  | Partial { covered; total } ->
-      Format.fprintf ppf "PARTIAL (%d of %d covered)" covered total

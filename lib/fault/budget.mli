@@ -26,5 +26,3 @@ type coverage = Complete | Partial of { covered : int; total : int }
 val coverage : covered:int -> total:int -> coverage
 
 val complete : coverage -> bool
-
-val pp_coverage : Format.formatter -> coverage -> unit

@@ -41,8 +41,6 @@ let io_active t =
   t.io_torn_percent <> None || t.io_flip_percent <> None
   || t.io_error_percent <> None || t.io_crash_percent <> None
 
-let is_passive t = not (sim_active t) && not (io_active t)
-
 let pp ppf t =
   let knob name ppv = Option.map (fun v -> Format.asprintf "%s=%a" name ppv v) in
   let d ppf = Format.fprintf ppf "%d" in

@@ -31,9 +31,6 @@ type t = {
 
 val none : t
 
-val is_passive : t -> bool
-(** Every knob is off: the plan cannot perturb anything. *)
-
 val sim_active : t -> bool
 (** A simulation knob (heap/recv/socket/fs/sched/bitflip) is on: the
     plan can perturb workload {e results}, so result caches must not

@@ -6,8 +6,6 @@ let add a off = a + off
 
 let diff a b = a - b
 
-let is_null a = a = 0
-
 let pp ppf a = Format.fprintf ppf "0x%08x" a
 
 let to_string a = Format.asprintf "%a" pp a

@@ -12,8 +12,6 @@ val add : t -> int -> t
 
 val diff : t -> t -> int
 
-val is_null : t -> bool
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -12,9 +12,6 @@ let strncpy mem ~dst s ~n =
   Memory.write_string mem dst (String.sub s 0 copy);
   if copy < n then Memory.write_u8 mem (dst + copy) 0
 
-let memcpy mem ~dst ~src ~off ~len =
-  Memory.write_string mem dst (String.sub src off len)
-
 let strlen mem a = String.length (Memory.read_cstring mem a)
 
 let strcat mem ~dst s =

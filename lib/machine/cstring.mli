@@ -3,7 +3,7 @@
     These are the unbounded / bounded copy primitives whose misuse the
     paper's elementary activities hinge on: [strcpy] keeps writing
     until the source's NUL regardless of the destination size, while
-    [strncpy] and [memcpy] honour an explicit bound. *)
+    [strncpy] honours an explicit bound. *)
 
 val strcpy : Memory.t -> dst:Addr.t -> string -> unit
 (** Copy the string up to its first NUL, plus a terminating NUL — no
@@ -12,9 +12,6 @@ val strcpy : Memory.t -> dst:Addr.t -> string -> unit
 val strncpy : Memory.t -> dst:Addr.t -> string -> n:int -> unit
 (** Copy at most [n] bytes; NUL-terminates only when the source is
     shorter than [n] (true C semantics). *)
-
-val memcpy : Memory.t -> dst:Addr.t -> src:string -> off:int -> len:int -> unit
-(** Copy [len] bytes of [src] starting at [off]. *)
 
 val strlen : Memory.t -> Addr.t -> int
 

@@ -225,13 +225,3 @@ let validate t =
        then push (Broken_free_link { chunk }))
     free_set;
   List.rev !issues
-
-let pp_issue ppf = function
-  | Bad_chunk_size { chunk; size } ->
-      Format.fprintf ppf "chunk %a has nonsense size %d" Addr.pp chunk size
-  | Chunks_overrun_top { chunk } ->
-      Format.fprintf ppf "chunk %a runs past the top of the arena" Addr.pp chunk
-  | Free_bit_mismatch { chunk } ->
-      Format.fprintf ppf "chunk %a free bit disagrees with the free list" Addr.pp chunk
-  | Broken_free_link { chunk } ->
-      Format.fprintf ppf "free chunk %a has inconsistent fd/bk links" Addr.pp chunk

@@ -65,8 +65,6 @@ val validate : t -> issue list
     leaves issues behind — this is the detector a hardened allocator
     would run. *)
 
-val pp_issue : Format.formatter -> issue -> unit
-
 (** {2 Introspection (used by exploits, models and tests)} *)
 
 val request_size : int -> int

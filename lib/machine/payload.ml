@@ -6,8 +6,6 @@ let length = Bytes.length
 
 let set_i32 t ~off v = Bytes.set_int32_le t off (Int32.of_int v)
 
-let set_string t ~off s = Bytes.blit_string s 0 t off (String.length s)
-
 let to_string = Bytes.to_string
 
 let repeat s n =

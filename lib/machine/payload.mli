@@ -14,8 +14,6 @@ val length : t -> int
 val set_i32 : t -> off:int -> int -> unit
 (** Embed a little-endian 32-bit value at byte offset [off]. *)
 
-val set_string : t -> off:int -> string -> unit
-
 val to_string : t -> string
 
 val repeat : string -> int -> string

@@ -110,8 +110,3 @@ let classify_jump t addr =
        | None -> Wild addr)
 
 let call_via_got t name = classify_jump t (Got.resolve t.got name)
-
-let pp_jump ppf = function
-  | Legit name -> Format.fprintf ppf "call %s (legitimate)" name
-  | Shellcode label -> Format.fprintf ppf "EXECUTE %s (attacker code)" label
-  | Wild addr -> Format.fprintf ppf "jump to %a (wild -- crash)" Addr.pp addr

@@ -68,5 +68,3 @@ val call_via_got : t -> string -> jump_result
 (** Look the function up through the (possibly corrupted) GOT and
     report where control lands — the paper's elementary activity
     "execute code referred by a function pointer". *)
-
-val pp_jump : Format.formatter -> jump_result -> unit

@@ -408,12 +408,6 @@ let func input =
        | line, _ -> fail line "trailing input after function")
     input
 
-let func_exn input =
-  match func input with
-  | Ok f -> f
-  | Error { line; message } ->
-      invalid_arg (Printf.sprintf "Minic.Parser: line %d: %s" line message)
-
 let program input =
   run
     (fun s ->

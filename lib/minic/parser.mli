@@ -11,8 +11,6 @@ type error = { line : int; message : string }
 val func : string -> (Ast.func, error) result
 (** Parse a single function definition. *)
 
-val func_exn : string -> Ast.func
-
 val program : string -> (Ast.func list, error) result
 (** Parse a sequence of function definitions. *)
 

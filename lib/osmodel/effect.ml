@@ -34,13 +34,6 @@ let key e =
   | Uid u -> "uid:" ^ u
   | Mem m -> "mem:" ^ m
 
-let obj_name e =
-  match e.obj with
-  | Path p | Path_attr p -> p
-  | Socket_stream -> "<socket>"
-  | Uid u -> u
-  | Mem m -> m
-
 let same_object a b = String.equal (key a) (key b)
 
 let conflicts a b =

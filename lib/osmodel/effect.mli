@@ -40,9 +40,6 @@ val key : t -> string
     ["path:" ^ p]: unlink/relink changes both the binding and what a
     stat returns, so separating them would be unsound. *)
 
-val obj_name : t -> string
-(** Display name of the object (the bare path for both path objects). *)
-
 val same_object : t -> t -> bool
 
 val conflicts : t -> t -> bool

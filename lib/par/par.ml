@@ -279,11 +279,6 @@ let pool_for ~jobs:j =
       the_pool := Some p;
       p
 
-let jobs_env_help =
-  "If set, DFSM_JOBS selects the worker-domain count for parallel batch \
-   commands (same meaning as -j N; the explicit flag wins). Values must be \
-   integers >= 1; invalid values are a usage error."
-
 (* ---- serial guards ------------------------------------------------ *)
 
 let serial_guards : (unit -> bool) list ref = ref []
@@ -390,6 +385,3 @@ let filter_map ?label f xs =
   Array.of_list kept
 
 let map_list ?label f xs = Array.to_list (map ?label f (Array.of_list xs))
-
-let filter_map_list ?label f xs =
-  Array.to_list (map ?label f (Array.of_list xs)) |> List.filter_map Fun.id

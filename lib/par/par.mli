@@ -48,9 +48,6 @@ val configure : ?jobs:int -> unit -> (int, string) result
     a malformed environment value (or non-positive [?jobs]) is an
     [Error] — callers map it to exit code 2. *)
 
-val jobs_env_help : string
-(** One-line help text describing [DFSM_JOBS] for CLI man pages. *)
-
 val unique_tag : unit -> int
 (** A process-unique non-negative integer (atomic counter), safe to
     draw from any domain.  Used for collision-free scratch-file names
@@ -96,8 +93,6 @@ val filter_map : ?label:string -> ('a -> 'b option) -> 'a array -> 'b array
 
 val map_list : ?label:string -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] over lists, preserving order. *)
-
-val filter_map_list : ?label:string -> ('a -> 'b option) -> 'a list -> 'b list
 
 (** Test seam (unit tests only): force the missing-result path of the
     next pooled map. *)

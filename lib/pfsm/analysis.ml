@@ -162,15 +162,6 @@ let vulnerable_operations report =
     String_set.empty (vulnerable_pfsms report)
   |> String_set.elements
 
-(* The distinct spec/impl predicates of a model, packed over intern
-   ids.  [Primitive.make] interned every predicate, so [Predset.add]
-   is a table lookup plus a bit set — no structural compares. *)
-let model_predset model =
-  List.fold_left
-    (fun acc (_, p) ->
-      Predset.add p.Primitive.spec (Predset.add p.Primitive.impl acc))
-    Predset.empty (Model.all_pfsms model)
-
 let taxonomy_matrix model =
   let pfsms = Model.all_pfsms model in
   let bucket kind =

@@ -70,10 +70,6 @@ val vulnerable_operations : report -> string list
 (** Operations containing at least one pFSM with a hidden hit,
     ascending and unique. *)
 
-val model_predset : Model.t -> Predset.t
-(** The distinct spec/impl predicates of the model, as a packed
-    {!Predset} bitset over intern ids. *)
-
 val vulnerable_pfsms : report -> pfsm_finding list
 
 val taxonomy_matrix : Model.t -> (Taxonomy.kind * (string * Primitive.t) list) list

@@ -27,8 +27,6 @@ let get_int k t = Value.as_int (get k t)
 
 let get_str k t = Value.as_str (get k t)
 
-let get_bool k t = Value.as_bool (get k t)
-
 let get_addr k t = Value.as_addr (get k t)
 
 let flag k t =

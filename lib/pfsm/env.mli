@@ -30,8 +30,6 @@ val get_int : string -> t -> int
 
 val get_str : string -> t -> string
 
-val get_bool : string -> t -> bool
-
 val get_addr : string -> t -> int
 
 val flag : string -> t -> bool

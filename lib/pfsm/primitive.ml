@@ -35,8 +35,6 @@ let run t ~env ~self =
 
 let missing_check t = Predicate.no_check t.impl
 
-let hidden_path_on t ~env ~self = (run t ~env ~self).hidden
-
 let secured t = { t with impl = t.spec }
 
 let transition_to_string = function

@@ -56,9 +56,6 @@ val missing_check : t -> bool
 (** Static view: the implementation performs no check at all (the
     figures' "?" on a missing IMPL_REJ edge). *)
 
-val hidden_path_on : t -> env:Env.t -> self:Value.t -> bool
-(** Whether this object would traverse IMPL_ACPT. *)
-
 val secured : t -> t
 (** The corrected pFSM: implementation enforces exactly the
     specification predicate, eliminating the hidden path. *)

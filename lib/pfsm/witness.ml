@@ -17,11 +17,6 @@ let hidden_witnesses pfsm ~candidates =
   in
   List.filter is_hidden candidates
 
-let first_hidden_witness pfsm ~candidates =
-  match hidden_witnesses pfsm ~candidates with
-  | [] -> None
-  | w :: _ -> Some w
-
 let correctly_implemented pfsm ~candidates = hidden_witnesses pfsm ~candidates = []
 
 let overstrict_witnesses pfsm ~candidates =

@@ -14,8 +14,6 @@ val hidden_witnesses : Primitive.t -> candidates:candidate list -> candidate lis
 (** Candidates on which the pFSM takes IMPL_ACPT.  Candidates on
     which either predicate is ill-typed are skipped. *)
 
-val first_hidden_witness : Primitive.t -> candidates:candidate list -> candidate option
-
 val correctly_implemented : Primitive.t -> candidates:candidate list -> bool
 (** No hidden-path witness in the searched domain. *)
 

@@ -7,10 +7,6 @@ type cause =
 
 exception Reject of string
 
-let retryable = function
-  | Retries_exhausted _ | Breaker_open _ | Deadline_exceeded _ -> true
-  | Rejected _ | Crash _ -> false
-
 let cause_to_string = function
   | Retries_exhausted { attempts; last } ->
       Printf.sprintf "retries exhausted after %d attempt%s, last fault: %s"
@@ -45,6 +41,3 @@ let entries t = List.rev t.rev_entries
 let count t = List.length t.rev_entries
 
 let find t id = List.find_opt (fun e -> e.id = id) (entries t)
-
-let pp_entry ppf e =
-  Format.fprintf ppf "%s (attempts %d): %a" e.id e.attempts pp_cause e.cause

@@ -27,10 +27,6 @@ exception Reject of string
 (** Raised by work items to signal {!Rejected} — a typed, terminal
     "this input is bad" that supervision never retries. *)
 
-val retryable : cause -> bool
-(** Whether a {e future} run could plausibly succeed: true for
-    everything except {!Rejected} and {!Crash}. *)
-
 val cause_to_string : cause -> string
 
 val pp_cause : Format.formatter -> cause -> unit
@@ -49,5 +45,3 @@ val entries : 'a t -> 'a entry list
 val count : 'a t -> int
 
 val find : 'a t -> string -> 'a entry option
-
-val pp_entry : Format.formatter -> 'a entry -> unit

@@ -2,55 +2,14 @@ let reject fmt = Printf.ksprintf (fun s -> raise (Resilience.Quarantine.Reject s
 
 (* ---- the application registry ------------------------------------ *)
 
-let apps = [ "sendmail"; "nullhttpd"; "xterm"; "rwall"; "iis"; "ghttpd"; "rpcstatd" ]
+let find app =
+  match Exploit.Table.find app with
+  | Some t -> t
+  | None -> reject "unknown application: %s" app
 
-let model_of = function
-  | "sendmail" -> Apps.Sendmail.model (Apps.Sendmail.setup ())
-  | "nullhttpd" -> Apps.Nullhttpd.model (Apps.Nullhttpd.setup ())
-  | "xterm" -> Apps.Xterm.model ()
-  | "rwall" -> Apps.Rwall.model (Apps.Rwall.setup ())
-  | "iis" -> Apps.Iis.model (Apps.Iis.setup ())
-  | "ghttpd" -> Apps.Ghttpd.model (Apps.Ghttpd.setup ())
-  | "rpcstatd" -> Apps.Rpc_statd.model (Apps.Rpc_statd.setup ())
-  | other -> reject "unknown application: %s" other
+let model_of app = (find app).Exploit.Table.model ()
 
-let scenarios_of = function
-  | "sendmail" ->
-      let app = Apps.Sendmail.setup () in
-      [ Apps.Sendmail.exploit_scenario app; Apps.Sendmail.benign_scenario ]
-  | "nullhttpd" ->
-      let app = Apps.Nullhttpd.setup () in
-      let cl5774, body5774 = Exploit.Attack.nullhttpd_5774 app in
-      let cl6255, body6255 = Exploit.Attack.nullhttpd_6255 app in
-      [ Apps.Nullhttpd.scenario ~content_len:cl5774 ~body:body5774;
-        Apps.Nullhttpd.scenario ~content_len:cl6255 ~body:body6255;
-        Apps.Nullhttpd.benign_scenario ]
-  | "xterm" -> [ Apps.Xterm.race_scenario; Apps.Xterm.benign_scenario ]
-  | "rwall" -> [ Apps.Rwall.attack_scenario; Apps.Rwall.benign_scenario ]
-  | "iis" ->
-      [ Apps.Iis.scenario ~path:Exploit.Attack.iis_path;
-        Apps.Iis.scenario ~path:Apps.Iis.benign_path ]
-  | "ghttpd" ->
-      let app = Apps.Ghttpd.setup () in
-      [ Apps.Ghttpd.scenario ~request:(Exploit.Attack.ghttpd_request app);
-        Apps.Ghttpd.benign_scenario ]
-  | "rpcstatd" ->
-      let app = Apps.Rpc_statd.setup () in
-      [ Apps.Rpc_statd.scenario ~filename:(Exploit.Attack.rpc_statd_filename app);
-        Apps.Rpc_statd.benign_scenario ]
-  | other -> reject "unknown application: %s" other
-
-(* Exploit.Driver groups are keyed by display name; requests use the
-   CLI app names. *)
-let row_group_of = function
-  | "sendmail" -> "Sendmail #3163"
-  | "nullhttpd" -> "NULL HTTPD"
-  | "xterm" -> "xterm race"
-  | "rwall" -> "Solaris rwall"
-  | "iis" -> "IIS decode"
-  | "ghttpd" -> "GHTTPD #5960"
-  | "rpcstatd" -> "rpc.statd #1480"
-  | other -> reject "unknown application: %s" other
+let scenarios_of app = (find app).Exploit.Table.scenarios ()
 
 (* ---- fuel --------------------------------------------------------- *)
 
@@ -113,15 +72,9 @@ let analyze ~spend app =
             report.Pfsm.Analysis.findings)) ]
 
 let exploit ~spend app =
-  let group = row_group_of app in
-  let rows_fn =
-    match List.assoc_opt group Exploit.Driver.app_row_groups with
-    | Some f -> f
-    | None -> reject "unknown application: %s" app
-  in
+  let t = find app in
   spend 1;
-  let rows = rows_fn () in
-  List.iter (fun _ -> spend 1) rows;
+  let rows = Exploit.Driver.rows ~before:(fun () -> spend 1) t in
   Json.Obj
     [ ("app", Json.Str app);
       ("rows", Json.Int (List.length rows));

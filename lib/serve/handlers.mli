@@ -7,8 +7,9 @@
     replay.
 
     Fuel: each attempt runs under its own {!Resilience.Deadline} of
-    [fuel] units and spends them at defined points (one per corpus
-    variant, scenario, exploit row, consistency group).  Exhaustion
+    [fuel] units and spends them before the work they pay for (one
+    per corpus variant, scenario and consistency group; an exploit
+    request spends one up front and one before each row).  Exhaustion
     is a typed {!outcome}, not an exception — the scheduler maps it
     to a [deadline] response.  Bad arguments (an unknown app,
     variant or plan) raise {!Resilience.Quarantine.Reject};
@@ -19,12 +20,9 @@ type outcome =
   | Done of Json.t
   | Deadline_hit of { spent : int }
 
-val apps : string list
-(** The application names accepted by [analyze] / [exploit]
-    requests (the CLI's app list). *)
-
 val model_of : string -> Pfsm.Model.t
-(** @raise Resilience.Quarantine.Reject on an unknown name. *)
+(** The {!Exploit.Table} application's model.
+    @raise Resilience.Quarantine.Reject on an unknown name. *)
 
 val scenarios_of : string -> Pfsm.Env.t list
 (** The canned exploit + benign scenarios for an app.

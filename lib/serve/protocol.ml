@@ -65,10 +65,6 @@ let parse ~line_id line =
       | "shutdown" -> Ok Shutdown
       | other -> Error (Printf.sprintf "unknown kind %S" other))
 
-let request_id = function
-  | Work { id; _ } | Stats { id; _ } -> Some id
-  | Flush | Shutdown -> None
-
 type status = Ok_ | Error_ | Deadline | Quarantined | Overloaded
 
 let status_to_string = function

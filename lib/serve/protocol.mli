@@ -49,8 +49,6 @@ val parse : line_id:string -> string -> (request, string) result
     a string]), or a {!Json.error} — JSON syntax, invalid UTF-8, an
     unpaired surrogate. *)
 
-val request_id : request -> string option
-
 type status = Ok_ | Error_ | Deadline | Quarantined | Overloaded
 
 val status_to_string : status -> string

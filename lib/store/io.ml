@@ -2,10 +2,6 @@ type write_error =
   | Refused of { path : string; errno : string }
   | Crashed of { path : string }
 
-let write_error_to_string = function
-  | Refused { path; errno } -> Printf.sprintf "%s: %s" path errno
-  | Crashed { path } -> Printf.sprintf "%s: crash before rename" path
-
 let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with
   | data -> Ok data

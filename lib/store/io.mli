@@ -18,8 +18,6 @@ type write_error =
       (** The commit died between tmp write and rename: the
           destination is untouched and an orphan tmp remains. *)
 
-val write_error_to_string : write_error -> string
-
 val read_file : string -> (string, [ `Enoent | `Unreadable of string ]) result
 (** The whole file, binary. *)
 

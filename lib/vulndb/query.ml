@@ -13,14 +13,10 @@ let by_software db s =
 
 let by_flaw db flaw = Database.filter db (fun r -> r.Report.flaw = flaw)
 
-let by_range db range = Database.filter db (fun r -> r.Report.range = range)
-
 let year_of (r : Report.t) =
   match int_of_string_opt (String.sub r.Report.date 0 4) with
   | Some y -> y
   | None -> 0
-
-let by_year db year = Database.filter db (fun r -> year_of r = year)
 
 let between db ~since ~until =
   Database.filter db (fun r -> r.Report.date >= since && r.Report.date <= until)

@@ -7,10 +7,6 @@ val by_software : Database.t -> string -> Report.t list
 
 val by_flaw : Database.t -> Report.flaw -> Report.t list
 
-val by_range : Database.t -> Report.range -> Report.t list
-
-val by_year : Database.t -> int -> Report.t list
-
 val between : Database.t -> since:string -> until:string -> Report.t list
 (** Inclusive ISO-date interval (lexicographic comparison is exact
     for YYYY-MM-DD). *)

@@ -15,9 +15,6 @@ let per_year db = tally db (fun _ -> true)
 
 let family_per_year db = tally db (fun r -> Report.studied_family r.Report.flaw)
 
-let category_per_year db category =
-  tally db (fun r -> Category.equal r.Report.category category)
-
 let pp_series ppf series =
   let peak = List.fold_left (fun acc (_, n) -> max acc n) 1 series in
   Format.fprintf ppf "@[<v>";

@@ -7,7 +7,5 @@ val per_year : Database.t -> (int * int) list
 
 val family_per_year : Database.t -> (int * int) list
 
-val category_per_year : Database.t -> Category.t -> (int * int) list
-
 val pp_series : Format.formatter -> (int * int) list -> unit
 (** A console bar chart (one row per year). *)

@@ -200,14 +200,13 @@ let test_env_pp_lists_bindings () =
   Alcotest.(check bool) "s" true (contains ~needle:"s = \"v\"" text)
 
 let test_driver_row_counts_per_app () =
-  let count rows = List.length rows in
-  Alcotest.(check int) "sendmail" 5 (count (Exploit.Driver.sendmail_rows ()));
-  Alcotest.(check int) "nullhttpd" 7 (count (Exploit.Driver.nullhttpd_rows ()));
-  Alcotest.(check int) "xterm" 3 (count (Exploit.Driver.xterm_rows ()));
-  Alcotest.(check int) "rwall" 4 (count (Exploit.Driver.rwall_rows ()));
-  Alcotest.(check int) "iis" 4 (count (Exploit.Driver.iis_rows ()));
-  Alcotest.(check int) "ghttpd" 5 (count (Exploit.Driver.ghttpd_rows ()));
-  Alcotest.(check int) "rpcstatd" 6 (count (Exploit.Driver.rpc_statd_rows ()))
+  Alcotest.(check (list (pair string int))) "rows per application"
+    [ ("sendmail", 5); ("nullhttpd", 7); ("xterm", 3); ("rwall", 4); ("iis", 4);
+      ("ghttpd", 5); ("rpcstatd", 6) ]
+    (List.map
+       (fun (app : Exploit.Table.app) ->
+          (app.name, List.length (Exploit.Driver.rows app)))
+       Exploit.Table.apps)
 
 let test_sendmail_every_negative_index_unsafe () =
   (* Sampled sweep: every spec-violating index either corrupts memory,

@@ -498,9 +498,34 @@ let test_retry_attempts_metric () =
   Alcotest.(check int) "one retry attempt per backoff" backoffs
     (Obs.Metrics.counter_value attempts - before)
 
+(* ---- handlers ----------------------------------------------------- *)
+
+(* An exploit request spends one unit of fuel before each row, so an
+   attempt that runs out stops at the first refused spend instead of
+   running every simulation and then answering deadline. *)
+let test_exploit_fuel () =
+  let attempt fuel =
+    Obs.Allocs.bytes_of (fun () ->
+        Serve.Handlers.run ~attempt:1 ~fuel (P.Exploit { app = "nullhttpd" }))
+  in
+  let (full, full_spent), full_bytes = attempt 64 in
+  let (starved, spent), starved_bytes = attempt 2 in
+  (match full with
+   | Serve.Handlers.Done _ -> Alcotest.(check int) "fuel 64 spends 1 + 7" 8 full_spent
+   | Serve.Handlers.Deadline_hit _ -> Alcotest.fail "fuel 64 hit its deadline");
+  (match starved with
+   | Serve.Handlers.Deadline_hit { spent = 2 } -> Alcotest.(check int) "spent" 2 spent
+   | _ -> Alcotest.fail "fuel 2: expected a deadline after 2 units");
+  Alcotest.(check bool)
+    (Printf.sprintf "fuel 2 allocates %.0f bytes, under half of fuel 64's %.0f"
+       starved_bytes full_bytes)
+    true
+    (starved_bytes < full_bytes /. 2.)
+
 (* ---- flat memory over a long run --------------------------------- *)
 
-let soak_apps = [| "sendmail"; "nullhttpd"; "xterm"; "rwall"; "iis"; "ghttpd"; "rpcstatd" |]
+let soak_apps =
+  Array.of_list (List.map (fun (a : Exploit.Table.app) -> a.name) Exploit.Table.apps)
 let soak_targets = Array.of_list (List.map fst Minic.Corpus.all)
 
 (* Request [i] of the soak mix: the first of every eight is [first],
@@ -610,6 +635,9 @@ let () =
          QCheck_alcotest.to_alcotest prop_percentile_table;
          Alcotest.test_case "backoffs count as retry attempts" `Quick
            test_retry_attempts_metric ]);
+      ("handlers",
+       [ Alcotest.test_case "exploit spends fuel before each row" `Quick
+           test_exploit_fuel ]);
       ("soak",
        [ Alcotest.test_case "smoke contract" `Quick test_soak_smoke;
          Alcotest.test_case "flat memory over 20k requests" `Quick
