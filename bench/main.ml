@@ -1126,53 +1126,6 @@ let perf_bench () =
     record ~section:"PERF" (name ^ "-agree") (if agree then 1. else 0.)
   in
 
-  (* predicate sets: sorted-unique id lists vs Predset bitsets.
-     Ids are pre-interned outside the timed region so both legs time
-     only the set operations, not the intern lock. *)
-  let per_model_ids =
-    List.map
-      (fun (_, m) ->
-        List.concat_map
-          (fun (_, p) ->
-            [ Pfsm.Predicate.id p.Pfsm.Primitive.spec;
-              Pfsm.Predicate.id p.Pfsm.Primitive.impl ])
-          (Pfsm.Model.all_pfsms m))
-      (all_models ())
-  in
-  let probe = List.concat per_model_ids in
-  let reps = 2_000 in
-  let list_leg () =
-    let found = ref 0 in
-    for _ = 1 to reps do
-      let union =
-        List.fold_left
-          (fun u ids -> List.sort_uniq compare (List.rev_append ids u))
-          [] per_model_ids
-      in
-      List.iter (fun i -> if List.mem i union then incr found) probe
-    done;
-    !found
-  in
-  let bitset_leg () =
-    let found = ref 0 in
-    for _ = 1 to reps do
-      let union =
-        List.fold_left
-          (fun u ids ->
-            List.fold_left (fun u i -> Pfsm.Predset.add_id i u) u ids)
-          Pfsm.Predset.empty per_model_ids
-      in
-      List.iter (fun i -> if Pfsm.Predset.mem_id i union then incr found) probe
-    done;
-    !found
-  in
-  pair "predset"
-    (Printf.sprintf
-       "predicate sets (%d models, %d preds), one round = %d union+probe rounds: \
-        id lists (sort_uniq) vs Predset bitsets"
-       (List.length per_model_ids) (List.length probe) reps)
-    ("predset-list-ms", list_leg) ("predset-bitset-ms", bitset_leg);
-
   (* POR sleep sets: int-list vs bitmask bookkeeping over a 3-process
      workload with both conflicting and commuting steps. *)
   let module Sch = Osmodel.Scheduler in

@@ -76,15 +76,14 @@ let lex input =
           let stop = str (i + 1) in
           emit (STRING (Buffer.contents b));
           go stop
-      | '0' .. '9' ->
-          let rec digits j acc =
-            if j < n && input.[j] >= '0' && input.[j] <= '9' then
-              digits (j + 1) ((acc * 10) + Char.code input.[j] - 48)
-            else (j, acc)
-          in
-          let stop, v = digits i 0 in
-          emit (INT v);
-          go stop
+      | '0' .. '9' -> (
+          (* 2^62 lexes as [min_int]: only a unary minus may take it
+             ([parse_unary]) *)
+          match Pfsm.Strcodec.negated_decimal input i with
+          | Some (stop, v) ->
+              emit (INT (-v));
+              go stop
+          | None -> fail !line "integer literal out of range")
       | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
           let rec ident j =
             if j < n then
@@ -213,6 +212,7 @@ and parse_unary s =
 
 and parse_primary s =
   match peek s with
+  | _, INT v when v < 0 -> fail_tok s "integer literal out of range"
   | _, INT v -> advance s; Ast.Int_lit v
   | _, STRING str -> advance s; Ast.Str_lit str
   | _, KW "atoi" ->

@@ -4,7 +4,9 @@
     are skipped), so vulnerable functions can be fed to the extractor
     as source files — [dfsm extract].  [return -1;] parses as
     {!Ast.Reject} (the reject idiom); any other [return] as
-    {!Ast.Return}. *)
+    {!Ast.Return}.  An integer literal wider than [max_int] is an
+    error on its line, never a wrapped value; [min_int] is written as
+    a unary minus before its magnitude, as {!Ast.pp_func} prints it. *)
 
 type error = { line : int; message : string }
 

@@ -18,12 +18,11 @@ type report = {
    image (closures included).  Sound because [Model.run] is pure —
    predicates, actions and effects are arithmetic over the env, with
    no fault-seam calls — so equal inputs always yield the equal trace,
-   installed injector or not.  Hashconsing ([Primitive.make] interns
-   every predicate) makes the marshal image's sharing a function of
-   structure, so two independently built but identical models collide
-   on the same key.  [analyze] digests its model once per call and
-   reuses that digest for every scenario; [run_memo] digests its model
-   on each call.
+   installed injector or not.  A model's builder fixes the sharing in
+   its marshal image, so two fresh builds of one model collide on the
+   same key (test_obs's model-digest test checks every application).
+   [analyze] digests its model once per call and reuses that digest
+   for every scenario; [run_memo] digests its model on each call.
 
    The cache is compute-once: the first caller of a key publishes a
    [Computing] marker and evaluates outside the lock; concurrent

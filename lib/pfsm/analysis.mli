@@ -31,11 +31,11 @@ val analyze : ?par:bool -> ?memo:bool -> Model.t -> scenarios:Env.t list -> repo
     [Model.run] is pure, so a trace is a function of the
     [(model, scenario)] pair alone.  The memo keys on
     model digest x scenario digest — each the MD5 of the marshal
-    image, closures included; hashconsed predicates make that image
-    structure-determined, so independently constructed but identical
-    models share entries.  {!analyze} digests its model once per
-    call; {!run_memo} digests the model and the scenario on every
-    call, and keeps nothing else per model.  Compute-once:
+    image, closures included.  The code that builds a model fixes the
+    sharing in that image, so two fresh builds of one model share
+    entries.  {!analyze} digests its model once per call;
+    {!run_memo} digests the model and the scenario on every call, and
+    keeps nothing else per model.  Compute-once:
     concurrent lookups of one key block rather than recompute, which
     keeps the counters deterministic under any scheduling (after a
     {!memo_reset}, a phase's [misses] = the distinct keys it

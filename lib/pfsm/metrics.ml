@@ -24,10 +24,8 @@ let of_model model =
   in
   let nontrivial p = not (Predicate.no_check p.Primitive.spec) in
   let distinct =
-    List.fold_left
-      (fun acc p ->
-        Predset.add p.Primitive.spec (Predset.add p.Primitive.impl acc))
-      Predset.empty pfsms
+    List.sort_uniq compare
+      (List.concat_map (fun p -> [ p.Primitive.spec; p.Primitive.impl ]) pfsms)
   in
   let kinds =
     List.map
@@ -42,7 +40,7 @@ let of_model model =
     objects;
     elementary_activities = List.length pfsms;
     predicates = List.length (List.filter nontrivial pfsms);
-    distinct_predicates = Predset.cardinal distinct;
+    distinct_predicates = List.length distinct;
     missing_checks = List.length (List.filter Primitive.missing_check pfsms);
     kinds }
 

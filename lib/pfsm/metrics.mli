@@ -13,7 +13,7 @@ type t = {
   objects : string list;      (** Observation 2: distinct objects manipulated *)
   elementary_activities : int;(** Observation 1: pFSMs in total *)
   predicates : int;           (** Observation 3: one per pFSM, by construction *)
-  distinct_predicates : int;  (** distinct spec/impl predicates (hashconsed) *)
+  distinct_predicates : int;  (** structurally distinct spec/impl predicates *)
   missing_checks : int;       (** pFSMs whose implementation checks nothing *)
   kinds : (Taxonomy.kind * int) list;
 }

@@ -64,12 +64,18 @@ let lex input =
           emit i (STRING (Buffer.contents b));
           go next
       | '0' when i + 1 < n && input.[i + 1] = 'x' ->
+          (* up to 63 bits, the most [Value.pp] prints for an address;
+             the top bit lands in the sign *)
           let rec hex j acc =
+            let push d =
+              if acc lsr 59 <> 0 then fail i "hex literal wider than 63 bits"
+              else hex (j + 1) ((acc lsl 4) lor d)
+            in
             if j < n then
               match input.[j] with
-              | '0' .. '9' -> hex (j + 1) ((acc * 16) + Char.code input.[j] - 48)
-              | 'a' .. 'f' -> hex (j + 1) ((acc * 16) + Char.code input.[j] - 87)
-              | 'A' .. 'F' -> hex (j + 1) ((acc * 16) + Char.code input.[j] - 55)
+              | '0' .. '9' -> push (Char.code input.[j] - 48)
+              | 'a' .. 'f' -> push (Char.code input.[j] - 87)
+              | 'A' .. 'F' -> push (Char.code input.[j] - 55)
               | _ -> (j, acc)
             else (j, acc)
           in
@@ -82,14 +88,11 @@ let lex input =
           if start >= n || input.[start] < '0' || input.[start] > '9' then
             fail i "expected digits"
           else begin
-            let rec digits j acc =
-              if j < n && input.[j] >= '0' && input.[j] <= '9' then
-                digits (j + 1) ((acc * 10) + Char.code input.[j] - 48)
-              else (j, acc)
-            in
-            let next, v = digits start 0 in
-            emit i (INT (if negative then -v else v));
-            go next
+            match Strcodec.negated_decimal input start with
+            | Some (next, v) when negative || v <> min_int ->
+                emit i (INT (if negative then v else -v));
+                go next
+            | _ -> fail i "integer literal out of range"
           end
       | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
           let rec ident j =

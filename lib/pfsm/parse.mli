@@ -17,7 +17,12 @@
               | 'length' '(' term ')'
               | 'decode' '^' INT '(' term ')'
       CMP   ::= '<=' | '<' | '==' | '!=' | '>=' | '>'
-    v} *)
+    v}
+
+    An [INT] is decimal, optionally negative, and must lie in
+    [\[min_int, max_int\]]; a ['0x'] literal is an address of at most
+    63 bits.  A wider literal is an error at its position, never a
+    wrapped value. *)
 
 type error = { position : int; message : string }
 

@@ -110,127 +110,6 @@ let disj = function
 let between t ~low ~high =
   And (Cmp (Ge, t, Lit (Value.Int low)), Cmp (Le, t, Lit (Value.Int high)))
 
-(* ---- hashconsing --------------------------------------------------
-   Interning rebuilds a predicate bottom-up through a table of
-   canonical nodes, so structurally equal subtrees become physically
-   equal.  Two payoffs: [equal] gets a physical fast path, and the
-   in-memory sharing of an interned predicate is a function of its
-   structure alone — which makes [Marshal]-based digests of models
-   (the analysis-memo key) independent of how the model was built.
-   The tables are shared across domains and mutex-protected; interning
-   happens at model-construction time, never on the [holds] hot
-   path. *)
-
-let hc_lock = Mutex.create ()
-let hc_terms : (term, term) Hashtbl.t = Hashtbl.create 256
-let hc_preds : (t, t) Hashtbl.t = Hashtbl.create 256
-
-(* Dense intern ids, assigned in canonization order.  An id is stable
-   for the life of the process (canonical nodes are never evicted),
-   which is what lets Predset pack predicate sets into bitsets: the id
-   is the bit position.  Ids are construction-order-dependent and must
-   never cross a process boundary — digests, not ids, key the
-   persistent tiers. *)
-let hc_pred_ids : (t, int) Hashtbl.t = Hashtbl.create 256
-let hc_pred_by_id : (int, t) Hashtbl.t = Hashtbl.create 256
-let hc_next_id = ref 0
-
-let m_distinct = Obs.Metrics.counter "pfsm.hashcons.distinct"
-let m_hc_hits = Obs.Metrics.counter "pfsm.hashcons.hits"
-
-let canon table key =
-  match Hashtbl.find_opt table key with
-  | Some v ->
-      Obs.Metrics.incr m_hc_hits;
-      v
-  | None ->
-      Hashtbl.add table key key;
-      Obs.Metrics.incr m_distinct;
-      key
-
-let canon_pred key =
-  match Hashtbl.find_opt hc_preds key with
-  | Some v ->
-      Obs.Metrics.incr m_hc_hits;
-      v
-  | None ->
-      Hashtbl.add hc_preds key key;
-      Hashtbl.add hc_pred_ids key !hc_next_id;
-      Hashtbl.add hc_pred_by_id !hc_next_id key;
-      incr hc_next_id;
-      Obs.Metrics.incr m_distinct;
-      key
-
-let rec intern_term_unlocked t =
-  let rebuilt =
-    match t with
-    | Self | Env_val _ | Lit _ -> t
-    | Length u ->
-        let u' = intern_term_unlocked u in
-        if u' == u then t else Length u'
-    | Decode (n, u) ->
-        let u' = intern_term_unlocked u in
-        if u' == u then t else Decode (n, u')
-  in
-  canon hc_terms rebuilt
-
-let rec intern_unlocked p =
-  let node1 build u =
-    let u' = intern_unlocked u in
-    if u' == u then p else build u'
-  in
-  let term1 build a =
-    let a' = intern_term_unlocked a in
-    if a' == a then p else build a'
-  in
-  let term2 build a b =
-    let a' = intern_term_unlocked a and b' = intern_term_unlocked b in
-    if a' == a && b' == b then p else build a' b'
-  in
-  let rebuilt =
-    match p with
-    | True | False | Env_flag _ -> p
-    | Not u -> node1 (fun u -> Not u) u
-    | And (u, v) ->
-        let u' = intern_unlocked u and v' = intern_unlocked v in
-        if u' == u && v' == v then p else And (u', v')
-    | Or (u, v) ->
-        let u' = intern_unlocked u and v' = intern_unlocked v in
-        if u' == u && v' == v then p else Or (u', v')
-    | Cmp (op, a, b) -> term2 (fun a b -> Cmp (op, a, b)) a b
-    | Str_eq (a, b) -> term2 (fun a b -> Str_eq (a, b)) a b
-    | Contains (a, needle) -> term1 (fun a -> Contains (a, needle)) a
-    | Contains_any (a, needles) ->
-        term1 (fun a -> Contains_any (a, needles)) a
-    | Fits_int32 a -> term1 (fun a -> Fits_int32 a) a
-    | Is_format_free a -> term1 (fun a -> Is_format_free a) a
-  in
-  canon_pred rebuilt
-
-let intern p =
-  Mutex.lock hc_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock hc_lock)
-    (fun () -> intern_unlocked p)
-
-let id p =
-  Mutex.lock hc_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock hc_lock)
-    (fun () -> Hashtbl.find hc_pred_ids (intern_unlocked p))
-
-let of_id i =
-  Mutex.lock hc_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock hc_lock)
-    (fun () -> Hashtbl.find_opt hc_pred_by_id i)
-
-let max_id () =
-  Mutex.lock hc_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock hc_lock) (fun () -> !hc_next_id)
-
-let equal p q = p == q || p = q
-
 let rec pp_term ppf = function
   | Self -> Format.pp_print_string ppf "self"
   | Env_val k -> Format.fprintf ppf "env[%s]" k

@@ -57,41 +57,6 @@ val between : term -> low:int -> high:int -> t
 (** [low <= term && term <= high] — the paper's canonical
     [0 <= x <= 100] array-index predicate. *)
 
-(** {2 Hashconsing} *)
-
-val intern : t -> t
-(** Canonicalize through the hashcons tables: the result is
-    structurally equal to the input, and structurally equal interned
-    predicates are physically equal.  Maximal sharing makes the
-    marshal image of an interned model depend on structure alone —
-    the property the analysis-memo digest key relies on.  Thread-safe;
-    called once at construction time ({!Primitive.make}), never on the
-    evaluation hot path.  New canonical nodes count in
-    [pfsm.hashcons.distinct] and lookups that find one in
-    [pfsm.hashcons.hits] ({!Obs.Metrics}). *)
-
-val equal : t -> t -> bool
-(** Structural equality with a physical fast path (free after
-    {!intern}). *)
-
-val id : t -> int
-(** The dense intern id of a predicate: canonical nodes are numbered
-    0, 1, 2, ... in canonization order, and the numbering is stable
-    for the life of the process (nodes are never evicted).  [id]
-    interns its argument, so it is total; on an already-interned
-    predicate it costs one table lookup.  Ids are the bit positions
-    {!Predset} packs predicate sets into — they depend on construction
-    order and must never cross a process boundary (digests, not ids,
-    key the persistent tiers). *)
-
-val of_id : int -> t option
-(** The canonical predicate carrying an id, [None] if no predicate has
-    been assigned it yet. *)
-
-val max_id : unit -> int
-(** One past the largest id assigned so far (= distinct canonical
-    predicates interned). *)
-
 val pp_term : Format.formatter -> term -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -16,14 +16,7 @@ type t = {
   impl : Predicate.t;
 }
 
-(* Interning spec/impl here puts every predicate in the system through
-   the hashcons tables: model construction is the single choke point,
-   so all downstream marshal digests see structure-determined
-   sharing. *)
-let make ~name ~kind ~activity ~spec ~impl =
-  { name; kind; activity;
-    spec = Predicate.intern spec;
-    impl = Predicate.intern impl }
+let make ~name ~kind ~activity ~spec ~impl = { name; kind; activity; spec; impl }
 
 let run t ~env ~self =
   if Predicate.holds ~env ~self t.spec then

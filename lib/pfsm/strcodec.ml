@@ -40,9 +40,28 @@ let percent_encode s =
     s;
   Buffer.contents b
 
+(* A pass either decodes an escape, turning three bytes into one, or
+   returns its input unchanged, and then so would every later pass:
+   stop there.  At most [String.length s / 2] passes do work. *)
 let percent_decode_n n s =
-  let rec loop k acc = if k <= 0 then acc else loop (k - 1) (percent_decode acc) in
+  let rec loop k acc =
+    if k <= 0 then acc
+    else
+      let next = percent_decode acc in
+      if String.length next = String.length acc then acc else loop (k - 1) next
+  in
   loop n s
+
+let negated_decimal s start =
+  let n = String.length s in
+  let rec go i acc =
+    if i < n && s.[i] >= '0' && s.[i] <= '9' then
+      let d = Char.code s.[i] - Char.code '0' in
+      if acc < min_int / 10 || acc * 10 < min_int + d then None
+      else go (i + 1) ((acc * 10) - d)
+    else Some (i, acc)
+  in
+  go start 0
 
 let int32_min = -0x8000_0000
 

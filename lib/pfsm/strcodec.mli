@@ -11,10 +11,19 @@ val percent_decode : string -> string
     pass turns that into ["../"]. *)
 
 val percent_decode_n : int -> string -> string
+(** [n] passes of {!percent_decode}, stopping at the first pass that
+    changes nothing, so a huge [n] costs no more than the string's
+    escapes. *)
 
 val percent_encode : string -> string
 (** Encode every byte outside [A-Za-z0-9._~/-] as ["%hh"];
     [percent_decode (percent_encode s) = s] for all [s]. *)
+
+val negated_decimal : string -> int -> (int * int) option
+(** [negated_decimal s i] reads the decimal digits of [s] from [i] on:
+    the index after them and the negation of their value, negated so
+    that the magnitude of [min_int] fits.  [None] when the magnitude
+    exceeds it.  Both lexers read integer literals with it. *)
 
 val parse_integer : string -> int option
 (** Mathematical value of an optionally-signed decimal string; [None]

@@ -162,6 +162,17 @@ let test_metrics_kinds_sum () =
       Apps.Xterm.model ();
       Apps.Iis.model (Apps.Iis.setup ()) ]
 
+(* the dist column of `dfsm metrics`: structurally distinct spec and
+   impl predicates per application *)
+let test_metrics_distinct_predicates () =
+  Alcotest.(check (list (pair string int))) "distinct predicates"
+    [ ("sendmail", 5); ("nullhttpd", 5); ("xterm", 3); ("rwall", 3); ("iis", 2);
+      ("ghttpd", 3); ("rpcstatd", 3) ]
+    (List.map
+       (fun (app : Exploit.Table.app) ->
+          (app.name, (Pfsm.Metrics.of_model (app.model ())).Pfsm.Metrics.distinct_predicates))
+       Exploit.Table.apps)
+
 (* ---- vulndb query / trend / csv ---------------------------------- *)
 
 let db = lazy (Vulndb.Synth.generate ~seed:20021130)
@@ -671,7 +682,9 @@ let () =
       ("metrics",
        [ Alcotest.test_case "sendmail" `Quick test_metrics_sendmail;
          Alcotest.test_case "nullhttpd" `Quick test_metrics_nullhttpd;
-         Alcotest.test_case "kinds sum" `Quick test_metrics_kinds_sum ]);
+         Alcotest.test_case "kinds sum" `Quick test_metrics_kinds_sum;
+         Alcotest.test_case "distinct predicates" `Quick
+           test_metrics_distinct_predicates ]);
       ("query/trend/csv",
        [ Alcotest.test_case "by software" `Quick test_query_by_software;
          Alcotest.test_case "by flaw" `Quick test_query_by_flaw;

@@ -537,6 +537,31 @@ let test_parser_error_reports_line () =
   | Ok _ -> Alcotest.fail "parsed garbage"
   | Error e -> Alcotest.(check int) "line 2" 2 e.Minic.Parser.line
 
+(* An integer literal outside the int range is a located error, not a
+   wrapped value; [min_int], which prints as [-4611686018427387904],
+   still parses back. *)
+let test_parser_literal_range () =
+  let guard lit =
+    Printf.sprintf "int f(int x) {\n  if (x > %s) {\n    return -1;\n  }\n  return 0;\n}" lit
+  in
+  List.iter
+    (fun lit ->
+       match Minic.Parser.func (guard lit) with
+       | Ok f -> Alcotest.fail (lit ^ " parsed: " ^ A.func_to_string f)
+       | Error e ->
+           Alcotest.(check (pair int string)) lit (2, "integer literal out of range")
+             (e.Minic.Parser.line, e.Minic.Parser.message))
+    [ "99999999999999999999"; "4611686018427387904" ];
+  List.iter
+    (fun n ->
+       let f = { A.name = "f"; params = []; body = [ A.Return (A.Int_lit n) ] } in
+       Alcotest.(check bool) (string_of_int n) true (Minic.Parser.roundtrips f);
+       match Minic.Parser.func (A.func_to_string f) with
+       | Ok { A.body = [ A.Return (A.Int_lit m) ]; _ } ->
+           Alcotest.(check int) "same literal" n m
+       | _ -> Alcotest.fail (A.func_to_string f))
+    [ max_int; min_int; 0 ]
+
 (* ---- the compiled interpreter against the tree-walking oracle ------ *)
 
 (* What one run shows the outside world: its outcome or escaping
@@ -744,6 +769,7 @@ let () =
          Alcotest.test_case "multiple functions" `Quick
            test_parser_program_multiple_funcs;
          Alcotest.test_case "error line" `Quick test_parser_error_reports_line;
+         Alcotest.test_case "literal range" `Quick test_parser_literal_range;
          QCheck_alcotest.to_alcotest prop_progen_roundtrips ]);
       ("oracle",
        [ Alcotest.test_case "evaluation order" `Quick test_interp_evaluation_order;

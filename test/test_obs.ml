@@ -206,22 +206,32 @@ let test_registration_idempotent () =
 
 (* ---- memo keys of freshly built models ---------------------------- *)
 
+(* Every fresh build of a model is a distinct physical value, but the
+   code that builds it fixes the sharing in its marshal image.  So once
+   one build of each application's model and scenarios has computed
+   the keys, a second fresh build's lookups all hit, and every memoized
+   trace is the one Model.run computes. *)
 let test_twin_models_share_a_key () =
-  let env = Apps.Iis.scenario ~path:Apps.Iis.attack_path in
-  let before = Pfsm.Analysis.memo_stats () in
-  (* every freshly built model is a distinct physical value, but
-     identical models built separately marshal to the same image, so
-     all 72 lookups land on one memo key: at most one miss (none when
-     an earlier test already computed it), and every memoized trace is
-     the one Model.run computes *)
-  for _ = 1 to 72 do
-    let model = Apps.Iis.model (Apps.Iis.setup ()) in
-    Alcotest.(check bool) "memo trace = Model.run" true
-      (Pfsm.Analysis.run_memo model ~env = Pfsm.Model.run model ~env)
-  done;
-  let after = Pfsm.Analysis.memo_stats () in
-  Alcotest.(check int) "72 lookups" 72 (after.lookups - before.lookups);
-  Alcotest.(check bool) "at most one miss" true (after.misses - before.misses <= 1)
+  List.iter
+    (fun (app : Exploit.Table.app) ->
+       let lookups () =
+         let model = app.model () in
+         List.map
+           (fun env -> (Pfsm.Analysis.run_memo model ~env, Pfsm.Model.run model ~env))
+           (app.scenarios ())
+       in
+       ignore (lookups ());
+       let before = Pfsm.Analysis.memo_stats () in
+       let traces = lookups () in
+       let after = Pfsm.Analysis.memo_stats () in
+       let n = List.length traces in
+       Alcotest.(check int) (app.name ^ " lookups") n (after.lookups - before.lookups);
+       Alcotest.(check int) (app.name ^ " hits") n (after.hits - before.hits);
+       List.iter
+         (fun (memo, plain) ->
+            Alcotest.(check bool) (app.name ^ " memo trace = Model.run") true (memo = plain))
+         traces)
+    Exploit.Table.apps
 
 (* ---- per-pFSM transition coverage --------------------------------- *)
 

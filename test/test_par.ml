@@ -1,7 +1,6 @@
 (* The deterministic multicore runtime: the Par contract (byte-equal
-   output for every job count), seed splitting, the hashconsed
-   predicate store, the analysis memo, and exactly-once supervision
-   under parallel speculation. *)
+   output for every job count), seed splitting, the analysis memo, and
+   exactly-once supervision under parallel speculation. *)
 
 let with_jobs j f =
   Par.set_jobs j;
@@ -220,24 +219,7 @@ let test_parallel_supervision_with_faults () =
          (with_jobs j (fun () -> sweep true)))
     job_counts
 
-(* ---- hashconsing and the analysis memo ---------------------------- *)
-
-let test_hashcons () =
-  let p () =
-    Pfsm.Predicate.And
-      (Pfsm.Predicate.between Pfsm.Predicate.Self ~low:0 ~high:100,
-       Pfsm.Predicate.Not
-         (Pfsm.Predicate.Contains
-            (Pfsm.Predicate.Decode (2, Pfsm.Predicate.Self), "../")))
-  in
-  let hits = Obs.Metrics.counter "pfsm.hashcons.hits" in
-  let a = Pfsm.Predicate.intern (p ()) in
-  let before = Obs.Metrics.counter_value hits in
-  let b = Pfsm.Predicate.intern (p ()) in
-  Alcotest.(check bool) "interned twins are physically equal" true (a == b);
-  Alcotest.(check bool) "equal" true (Pfsm.Predicate.equal a b);
-  Alcotest.(check bool) "interning the twin hits the table" true
-    (Obs.Metrics.counter_value hits > before)
+(* ---- the analysis memo ------------------------------------------- *)
 
 let test_memo () =
   let app = Apps.Iis.setup () in
@@ -303,7 +285,6 @@ let () =
          Alcotest.test_case "speculation keyed by position" `Quick
            test_speculation_keyed_by_position ]);
       ("memo",
-       [ Alcotest.test_case "hashcons" `Quick test_hashcons;
-         Alcotest.test_case "compute-once counters" `Quick test_memo;
+       [ Alcotest.test_case "compute-once counters" `Quick test_memo;
          Alcotest.test_case "analyze ~memo ~par = analyze" `Quick
            test_memo_analyze_equals_plain ]) ]

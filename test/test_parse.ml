@@ -72,6 +72,42 @@ let test_parse_errors_have_positions () =
   ignore (err "\"unterminated");
   ignore (err "@@@")
 
+(* An integer literal outside the int range is a located error, not a
+   wrapped value; every integer and address [Value.pp] prints, extremes
+   included, parses back to the same value. *)
+let test_parse_literal_range () =
+  let e = err "self > 99999999999999999999" in
+  Alcotest.(check (pair int string)) "decimal overflow" (7, "integer literal out of range")
+    (e.Parse.position, e.Parse.message);
+  let e = err "self == 0x10000000000000001" in
+  Alcotest.(check (pair int string)) "hex overflow" (8, "hex literal wider than 63 bits")
+    (e.Parse.position, e.Parse.message);
+  ignore (err "self > 4611686018427387904");
+  List.iter
+    (fun v ->
+       let p = P.Cmp (P.Eq, P.Self, P.Lit v) in
+       Alcotest.(check bool) (P.to_string p) true (ok (P.to_string p) = p))
+    Pfsm.Value.
+      [ Int max_int; Int min_int; Int 0; Addr 0; Addr max_int; Addr min_int;
+        Addr (-1) ]
+
+(* 30,000 nested negations of [self > 0], the form [Predicate.pp]
+   prints, parse, build a pFSM and verify in well under a second. *)
+let test_parse_deep_nesting () =
+  let depth = 30_000 in
+  let src =
+    String.concat "" (List.init depth (fun _ -> "!("))
+    ^ "self > 0" ^ String.make depth ')'
+  in
+  let spec = ok src in
+  let pfsm =
+    Pfsm.Primitive.make ~name:"deep" ~kind:Pfsm.Taxonomy.Content_attribute_check
+      ~activity:"deep negation" ~spec ~impl:(ok "self > 0")
+  in
+  match Pfsm.Verify.verify pfsm (Pfsm.Verify.Int_range { low = -8; high = 8 }) with
+  | Pfsm.Verify.Verified _ -> ()
+  | r -> Alcotest.fail (Format.asprintf "%a" Pfsm.Verify.pp_result r)
+
 let test_parse_term_standalone () =
   (match Parse.term "decode^2(env[path])" with
    | Ok (P.Decode (2, P.Env_val "path")) -> ()
@@ -169,6 +205,8 @@ let () =
          Alcotest.test_case "negative literals" `Quick test_parse_negative_literals;
          Alcotest.test_case "string escapes" `Quick test_parse_string_escapes;
          Alcotest.test_case "error positions" `Quick test_parse_errors_have_positions;
+         Alcotest.test_case "literal range" `Quick test_parse_literal_range;
+         Alcotest.test_case "deep nesting" `Quick test_parse_deep_nesting;
          Alcotest.test_case "terms" `Quick test_parse_term_standalone;
          Alcotest.test_case "exn variant" `Quick test_parse_exn ]);
       ("roundtrip",

@@ -95,6 +95,23 @@ let prop_encode_decode_roundtrip =
   Test.make ~name:"strcodec: percent_decode inverts percent_encode" ~count:300 string
     (fun s -> Sc.percent_decode (Sc.percent_encode s) = s)
 
+(* Stopping at the first pass that changes nothing gives what the plain
+   n-pass loop gives, over strings made of escapes' own bytes. *)
+let prop_decode_n_equals_n_passes =
+  let open QCheck in
+  let byte =
+    Gen.frequency
+      [ (3, Gen.return '%'); (2, Gen.oneofl [ '2'; '5' ]);
+        (3, Gen.oneofl [ '0'; '9'; 'a'; 'f'; 'A'; 'F' ]); (1, Gen.return '/') ]
+  in
+  Test.make ~name:"strcodec: percent_decode_n n = n passes, n <= 8" ~count:500
+    (pair (int_bound 8) (string_gen_of_size (Gen.int_bound 24) byte))
+    (fun (n, s) ->
+       let rec passes k acc =
+         if k = 0 then acc else passes (k - 1) (Sc.percent_decode acc)
+       in
+       Sc.percent_decode_n n s = passes n s)
+
 let test_percent_encode_units () =
   Alcotest.(check string) "unreserved untouched" "a/b.c" (Sc.percent_encode "a/b.c");
   Alcotest.(check string) "space and percent" "a%20b%25" (Sc.percent_encode "a b%");
@@ -411,72 +428,6 @@ let test_pretty_model_renders () =
        Alcotest.(check bool) ("mentions " ^ needle) true (contains ~needle s))
     [ "toy"; "op1"; "pFSM1"; "SPEC accepts iff"; "no check in implementation" ]
 
-(* ---- predset ------------------------------------------------------ *)
-
-module Ps = Pfsm.Predset
-
-(* A pool of distinct interned predicates; [Predicate.id] assigns each
-   a stable intern id, and ids keep growing across the suite, so the
-   pool routinely spans more than one bitset word. *)
-let pred_pool =
-  lazy (List.init 48 (fun i -> P.between P.Self ~low:i ~high:(100 + i)))
-
-let pool_ids () = List.map P.id (Lazy.force pred_pool)
-
-let test_predset_basics () =
-  let pool = Lazy.force pred_pool in
-  let p0 = List.nth pool 0 and p1 = List.nth pool 1 in
-  Alcotest.(check bool) "empty is empty" true (Ps.is_empty Ps.empty);
-  Alcotest.(check bool) "mem singleton" true (Ps.mem p0 (Ps.singleton p0));
-  Alcotest.(check bool) "not mem other" false (Ps.mem p1 (Ps.singleton p0));
-  let s = Ps.of_list [ p0; p1; p0 ] in
-  Alcotest.(check int) "of_list dedups" 2 (Ps.cardinal s);
-  (* structurally equal predicates intern to the same id *)
-  Alcotest.(check bool) "structural re-add is no-op" true
-    (Ps.equal s (Ps.add (P.between P.Self ~low:0 ~high:100) s));
-  (* removing the top member must normalize back to the singleton,
-     structurally (equality is [=] on the packed words) *)
-  Alcotest.(check bool) "diff normalizes" true
-    (Ps.equal (Ps.singleton p0) (Ps.diff s (Ps.singleton p1)));
-  Alcotest.(check bool) "elements ascending ids" true
-    (let ids = List.map P.id (Ps.elements (Ps.of_list pool)) in
-     ids = List.sort_uniq compare ids)
-
-let test_predset_id_roundtrip () =
-  List.iter
-    (fun p ->
-       match P.of_id (P.id p) with
-       | Some q ->
-           Alcotest.(check bool) "of_id returns the canon" true (P.equal p q);
-           Alcotest.(check int) "id stable" (P.id p) (P.id q)
-       | None -> Alcotest.fail "of_id lost an interned predicate")
-    (Lazy.force pred_pool);
-  Alcotest.(check bool) "max_id covers pool" true
-    (List.for_all (fun i -> i < P.max_id ()) (pool_ids ()))
-
-(* Reference semantics: a predicate set is its sorted unique id list. *)
-let prop_predset_matches_reference =
-  let open QCheck in
-  Test.make ~name:"predset ops agree with sorted-unique id lists" ~count:500
-    (pair (list (int_bound 47)) (list (int_bound 47)))
-    (fun (xs, ys) ->
-       let ids = Array.of_list (pool_ids ()) in
-       let pick = List.map (fun i -> ids.(i)) in
-       let ia = pick xs and ib = pick ys in
-       let ra = List.sort_uniq compare ia and rb = List.sort_uniq compare ib in
-       let sa = List.fold_left (fun s i -> Ps.add_id i s) Ps.empty ia in
-       let sb = List.fold_left (fun s i -> Ps.add_id i s) Ps.empty ib in
-       Ps.to_ids sa = ra
-       && Ps.to_ids (Ps.union sa sb) = List.sort_uniq compare (ra @ rb)
-       && Ps.to_ids (Ps.inter sa sb) = List.filter (fun i -> List.mem i rb) ra
-       && Ps.to_ids (Ps.diff sa sb)
-          = List.filter (fun i -> not (List.mem i rb)) ra
-       && Ps.cardinal sa = List.length ra
-       && List.for_all (fun i -> Ps.mem_id i sa) ra
-       && Ps.equal sa sb = (ra = rb)
-       && Ps.subset sa (Ps.union sa sb)
-       && Ps.fold_ids (fun i acc -> i :: acc) sa [] = List.rev ra)
-
 let () =
   Alcotest.run "pfsm"
     [ ("value",
@@ -495,6 +446,7 @@ let () =
          Alcotest.test_case "percent encode" `Quick test_percent_encode_units;
          QCheck_alcotest.to_alcotest prop_decode_idempotent_on_clean;
          QCheck_alcotest.to_alcotest prop_encode_decode_roundtrip;
+         QCheck_alcotest.to_alcotest prop_decode_n_equals_n_passes;
          QCheck_alcotest.to_alcotest prop_wrap32_fixed_point ]);
       ("predicate",
        [ Alcotest.test_case "between" `Quick test_pred_between;
@@ -535,10 +487,6 @@ let () =
          Alcotest.test_case "pfsm sufficiency" `Quick test_lemma_pfsm_sufficiency;
          Alcotest.test_case "full security" `Quick test_lemma_full_security;
          QCheck_alcotest.to_alcotest prop_lemma_random_inputs ]);
-      ("predset",
-       [ Alcotest.test_case "basics" `Quick test_predset_basics;
-         Alcotest.test_case "id roundtrip" `Quick test_predset_id_roundtrip;
-         QCheck_alcotest.to_alcotest prop_predset_matches_reference ]);
       ("taxonomy/dot/pretty",
        [ Alcotest.test_case "taxonomy" `Quick test_taxonomy_strings;
          Alcotest.test_case "dot output" `Quick test_dot_output;
