@@ -639,9 +639,7 @@ let fsck store dir repair json =
       else if not (Sys.is_directory dir) then
         `Error (false, Printf.sprintf "%s: not a directory" dir)
       else begin
-        let disk = Store.Disk.open_ ~dir in
-        let report = Store.Fsck.scan ~repair disk in
-        Store.Disk.close disk;
+        let report = Store.Fsck.scan ~repair (Store.Disk.open_ ~dir) in
         if json then
           print_endline (Json.to_string ~layout:Indented (Store.Fsck.to_json report))
         else Format.printf "%a@." Store.Fsck.pp report;
@@ -997,8 +995,7 @@ let lint_cmd =
 let repair_flag =
   Arg.(value & flag
        & info [ "repair" ]
-         ~doc:"Remove every unsound file (bad records, orphan tmps, strays) \
-               and compact the manifest to exactly the keys that verify; \
+         ~doc:"Remove every unsound file (bad records, orphan tmps, strays); \
                evicted results are recomputed by the next store-backed run.")
 
 let fsck_dir_arg =
@@ -1010,9 +1007,9 @@ let fsck_dir_arg =
 let fsck_cmd =
   Cmd.v
     (Cmd.info "fsck"
-       ~doc:"Verify a result store offline: classify every record (ok, torn, \
-             checksum-mismatch, stale-version, orphan-tmp), check the \
-             manifest, and optionally repair.  Exit 0 iff the store ends \
+       ~doc:"Verify a result store offline: classify every file of its \
+             object tree (ok, torn, checksum-mismatch, stale-version, \
+             orphan-tmp) and optionally repair.  Exit 0 iff the store ends \
              clean.")
     Term.(ret (const fsck $ store_arg $ fsck_dir_arg $ repair_flag $ json_flag))
 

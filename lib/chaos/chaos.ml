@@ -415,12 +415,7 @@ let disk_run_one ~seed:_ plan =
             let warm = sweep () in
             ([ cold; warm ], since before)))
   in
-  let fsck =
-    let disk = Store.Disk.open_ ~dir in
-    let r = Store.Fsck.scan ~repair:true disk in
-    Store.Disk.close disk;
-    r
-  in
+  let fsck = Store.Fsck.scan ~repair:true (Store.Disk.open_ ~dir) in
   let post_disk = Store.Disk.open_ ~dir in
   let before = Store.Disk.stats () in
   let post_json, post_repair =

@@ -33,8 +33,7 @@ let m_write_failures = Obs.Metrics.counter "store.write_failures"
 
 type t = {
   root : string;
-  lock : Mutex.t;  (* manifest channel + needs_repair table *)
-  mutable manifest : out_channel option;
+  lock : Mutex.t;  (* needs_repair table *)
   needs_repair : (string, unit) Hashtbl.t;
 }
 
@@ -56,8 +55,6 @@ let check_key k =
 
 let objects_dir t = Filename.concat t.root "objects"
 
-let manifest_path t = Filename.concat t.root "manifest"
-
 let shard_dir t key =
   Filename.concat
     (Filename.concat (objects_dir t) (String.sub key 0 2))
@@ -71,10 +68,7 @@ let open_ ~dir =
   if Sys.file_exists dir && not (Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": not a directory"));
   Io.mkdir_p (Filename.concat dir "objects");
-  { root = dir;
-    lock = Mutex.create ();
-    manifest = None;
-    needs_repair = Hashtbl.create 16 }
+  { root = dir; lock = Mutex.create (); needs_repair = Hashtbl.create 16 }
 
 let dir t = t.root
 
@@ -86,34 +80,6 @@ let stats () =
     repaired = v m_repaired;
     writes = v m_writes;
     write_failures = v m_write_failures }
-
-let close t =
-  locked t (fun () ->
-      match t.manifest with
-      | None -> ()
-      | Some oc ->
-          t.manifest <- None;
-          close_out_noerr oc)
-
-let manifest_channel_locked t =
-  match t.manifest with
-  | Some oc -> oc
-  | None ->
-      let oc =
-        open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644
-          (manifest_path t)
-      in
-      t.manifest <- Some oc;
-      oc
-
-let append_manifest t key =
-  locked t (fun () ->
-      match
-        Io.append_line (manifest_channel_locked t) ~path:(manifest_path t)
-          (Record.seal_line key)
-      with
-      | Ok () | Error _ -> ()  (* advisory: fsck rebuilds it *)
-      | exception Sys_error _ -> ())
 
 let mark_needs_repair t key = locked t (fun () -> Hashtbl.replace t.needs_repair key ())
 
@@ -162,32 +128,6 @@ let put t ~key ~payload =
             if b then Hashtbl.remove t.needs_repair key;
             b)
       in
-      if was_corrupt then Obs.Metrics.incr m_repaired;
-      append_manifest t key
+      if was_corrupt then Obs.Metrics.incr m_repaired
 
 let object_files t = Io.files_under (objects_dir t)
-
-let manifest_keys t =
-  match Io.read_file (manifest_path t) with
-  | Error _ -> []
-  | Ok data ->
-      let seen = Hashtbl.create 64 in
-      String.split_on_char '\n' data
-      |> List.filter_map (fun line ->
-             match Record.unseal_line line with
-             | Some key when valid_key key && not (Hashtbl.mem seen key) ->
-                 Hashtbl.add seen key ();
-                 Some key
-             | Some _ | None -> None)
-
-let rewrite_manifest t ~keys =
-  close t;
-  let content =
-    String.concat "" (List.map (fun k -> Record.seal_line k ^ "\n") keys)
-  in
-  let tmp =
-    Filename.concat t.root
-      (Printf.sprintf "manifest.%d.tmp" (Par.unique_tag ()))
-  in
-  match Io.commit ~tmp ~dest:(manifest_path t) content with
-  | Ok () | Error _ -> ()

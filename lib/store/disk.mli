@@ -5,14 +5,16 @@
     {v
     objects/<k0k1>/<k2k3>/<key>.rec   one checksummed record per key
     objects/.../<key>.<tag>.tmp       in-flight commits (orphaned by a crash)
-    manifest                          append-only journal of committed keys
     v}
 
-    Keys are lowercase hex digests (two-level sharding on the first
-    four characters).  A commit is tmp+write+rename, so a reader never
-    observes a half-written record under an honest filesystem; torn
-    and flipped records (crashes, injected faults) are caught by the
-    record checksum on read.
+    The object tree is the store's only index: a key is stored iff
+    its record file is.  Files beside [objects/] are never read, so a
+    store directory older builds left a key journal in serves as
+    is.  Keys are lowercase hex digests (two-level sharding on the
+    first four characters).  A commit is tmp+write+rename and nothing
+    else, so a reader never observes a half-written record under an
+    honest filesystem; torn and flipped records (crashes, injected
+    faults) are caught by the record checksum on read.
 
     Robustness contract: {!find} and {!put} never raise on I/O or
     corruption.  A corrupt, torn, unparseable or version-mismatched
@@ -44,9 +46,9 @@ val valid_key : string -> bool
 
 val open_ : dir:string -> t
 (** Open (creating directories as needed) a store rooted at [dir].
-    Cheap; holds one lazily-opened manifest channel.  Handles are
-    domain-safe: record files are written under process-unique tmp
-    names and the manifest channel is mutex-guarded.
+    Cheap, and holds no file open: there is nothing to close.
+    Handles are domain-safe: record files are written under
+    process-unique tmp names.
     @raise Sys_error when [dir] exists but is not a directory. *)
 
 val dir : t -> string
@@ -75,18 +77,5 @@ val stats : unit -> stats
 val record_path : t -> key:string -> string
 (** Absolute path of the record file for [key] (tests, fsck). *)
 
-val manifest_path : t -> string
-
-val manifest_keys : t -> string list
-(** Keys whose manifest lines verify, deduplicated, journal order.
-    Advisory: the object tree is the source of truth. *)
-
 val object_files : t -> string list
 (** All files under [objects/], relative to it, sorted. *)
-
-val rewrite_manifest : t -> keys:string list -> unit
-(** Atomically replace the manifest with one sealed line per key
-    (fsck's compaction).  Degrades silently on write failure. *)
-
-val close : t -> unit
-(** Close the manifest channel (a later {!put} reopens it). *)

@@ -1,11 +1,9 @@
 (** Offline verify-and-repair for a store directory.
 
-    [scan] walks the object tree, classifies every file, and checks
-    the manifest against the set of verifiable records.  With
-    [~repair:true] it also removes everything unsound (bad records,
-    orphan tmps, strays) and compacts the manifest down to exactly the
-    keys that verify — after which the store is clean by
-    construction. *)
+    [scan] walks the object tree, the store's only index, and
+    classifies every file.  With [~repair:true] it also removes
+    everything unsound (bad records, orphan tmps, strays), after
+    which the store is clean by construction. *)
 
 type status =
   | Sound  (** record decodes and its checksum verifies *)
@@ -18,7 +16,6 @@ val status_to_string : status -> string
 
 type entry = {
   path : string;  (** relative to [objects/] *)
-  key : string option;  (** for record files with a well-formed name *)
   status : status;
   removed : bool;  (** repair removed it *)
 }
@@ -30,18 +27,13 @@ type report = {
   checksum_mismatch : int;
   stale_version : int;
   orphan_tmp : int;
-  manifest_stale : int;
-      (** manifest lines that fail to verify or name no sound record *)
-  manifest_missing : int;  (** sound records absent from the manifest *)
   removed : int;  (** files repair deleted *)
-  manifest_rewritten : bool;
 }
 
 val scan : ?repair:bool -> Disk.t -> report
 (** Never raises; an unreadable file classifies as
-    {!Checksum_mismatch}.  Manifest drift is advisory (the object tree
-    is the source of truth) and does not make a store unclean, but
-    repair compacts it anyway. *)
+    {!Checksum_mismatch}.  Reads and removes nothing outside
+    [objects/]. *)
 
 val clean : report -> bool
 (** No unsound files survived: every non-[Sound] entry was removed by

@@ -34,8 +34,4 @@ let cached ~tag ~key compute =
 let with_store s f =
   let prev = Atomic.get installed in
   Atomic.set installed s;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set installed prev;
-      match s with None -> () | Some d -> Disk.close d)
-    f
+  Fun.protect ~finally:(fun () -> Atomic.set installed prev) f

@@ -30,4 +30,4 @@ val cached : tag:string -> key:string -> (unit -> 'a) -> 'a
 
 val with_store : Disk.t option -> (unit -> 'a) -> 'a
 (** Install for the duration of [f], restoring the previous handle
-    (and closing the given one) afterwards. *)
+    afterwards. *)

@@ -1,7 +1,7 @@
 (** The store's only doorway to the filesystem — and therefore the
     fault-injection seam for all of it.
 
-    Every record commit and every journal append consults
+    Every record commit and every checkpoint-journal append consults
     {!Fault.Hooks.store_write_fault} exactly once and applies the
     injected fault faithfully: a torn write really leaves a truncated
     record on disk, a bit flip really lands in the committed bytes, an
@@ -29,9 +29,10 @@ val commit : tmp:string -> dest:string -> string -> (unit, write_error) result
 
 val append_line :
   out_channel -> path:string -> string -> (unit, write_error) result
-(** Append [line ^ "\n"] to an already-open channel and flush, with
-    one injected-fault consultation (a torn append writes a prefix, a
-    flip corrupts the line, an error or crash skips the append). *)
+(** Append [line ^ "\n"] to an already-open channel (the checkpoint
+    journal's) and flush, with one injected-fault consultation (a torn
+    append writes a prefix, a flip corrupts the line, an error or
+    crash skips the append). *)
 
 val mkdir_p : string -> unit
 

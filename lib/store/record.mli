@@ -36,8 +36,8 @@ val decode : string -> (string, error) result
 
 (** {2 Sealed lines}
 
-    A one-line variant of the same idea for append-only journals
-    (checkpoint, manifest): [seal_line l] prefixes [l] with the MD5 of
+    A one-line variant of the same idea for the append-only
+    checkpoint journal: [seal_line l] prefixes [l] with the MD5 of
     its content, so a reader takes a line only when it verifies — a
     corrupted or torn line is detected, never parsed.  [l] must not
     contain a newline. *)

@@ -22,10 +22,7 @@ let with_dir f =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let with_open_store f =
-  with_dir (fun dir ->
-      let s = S.Disk.open_ ~dir in
-      Fun.protect ~finally:(fun () -> S.Disk.close s) (fun () -> f s))
+let with_open_store f = with_dir (fun dir -> f (S.Disk.open_ ~dir))
 
 (* The store.* counters are process-wide: a test reads what its own
    phase added. *)
@@ -114,18 +111,16 @@ let test_disk_roundtrip_and_reopen () =
       Alcotest.(check int) "one miss" 1 st.S.Disk.misses;
       Alcotest.(check int) "one hit" 1 st.S.Disk.hits;
       Alcotest.(check int) "three writes" 3 st.S.Disk.writes;
-      S.Disk.close s;
-      (* a second process: everything persisted, manifest verifiable *)
+      (* a second process: everything persisted, one record per key *)
       let s2 = S.Disk.open_ ~dir in
       Alcotest.(check (option string)) "reopen finds alpha" (Some "alpha-v2")
         (S.Disk.find s2 ~key:key_a);
       Alcotest.(check (option string)) "reopen finds beta"
         (Some "beta\nwith newline")
         (S.Disk.find s2 ~key:key_b);
-      Alcotest.(check (list string)) "manifest lists both, deduplicated"
-        [ key_a; key_b ]
-        (List.sort compare (S.Disk.manifest_keys s2));
-      S.Disk.close s2)
+      Alcotest.(check (list string)) "object tree holds both records"
+        [ "aa/bb/" ^ key_a ^ ".rec"; "ff/ee/" ^ key_b ^ ".rec" ]
+        (S.Disk.object_files s2))
 
 let test_disk_key_validation () =
   Alcotest.(check bool) "hex key ok" true (S.Disk.valid_key key_a);
@@ -268,8 +263,6 @@ let test_fsck_classify_and_repair () =
       Alcotest.(check int) "one flipped" 1 r.S.Fsck.checksum_mismatch;
       Alcotest.(check int) "one stale" 1 r.S.Fsck.stale_version;
       Alcotest.(check int) "one orphan tmp" 1 r.S.Fsck.orphan_tmp;
-      Alcotest.(check int) "unsound manifest lines counted" 3
-        r.S.Fsck.manifest_stale;
       Alcotest.(check int) "torn classified" 1 (count_status S.Fsck.Torn r);
       Alcotest.(check bool) "scan alone repairs nothing" false
         (S.Fsck.clean r);
@@ -279,17 +272,43 @@ let test_fsck_classify_and_repair () =
         r2.S.Fsck.removed;
       Alcotest.(check bool) "repair leaves the store clean" true
         (S.Fsck.clean r2);
-      Alcotest.(check bool) "manifest compacted" true
-        r2.S.Fsck.manifest_rewritten;
       let r3 = S.Fsck.scan s in
       Alcotest.(check bool) "post-repair scan is clean" true (S.Fsck.clean r3);
       Alcotest.(check int) "survivor intact" 1 r3.S.Fsck.sound;
-      Alcotest.(check int) "no manifest drift left" 0
-        (r3.S.Fsck.manifest_stale + r3.S.Fsck.manifest_missing);
       Alcotest.(check (option string)) "sound record still reads"
         (Some "v:4444444444444444")
-        (S.Disk.find s ~key:"4444444444444444");
-      S.Disk.close s)
+        (S.Disk.find s ~key:"4444444444444444"))
+
+let test_fsck_old_layout () =
+  (* a store as older builds left it: the records, plus a root journal
+     of sealed key lines whose last append was torn.  The object tree
+     alone serves it, and fsck neither reads nor touches the journal. *)
+  with_dir (fun dir ->
+      let keys = [ key_a; key_b; "0123456789abcdef" ] in
+      let s = S.Disk.open_ ~dir in
+      List.iter (fun k -> S.Disk.put s ~key:k ~payload:("v:" ^ k)) keys;
+      let journal = Filename.concat dir "manifest" in
+      let torn = S.Record.seal_line "fedcba9876543210" in
+      let image =
+        String.concat "" (List.map (fun k -> S.Record.seal_line k ^ "\n") keys)
+        ^ String.sub torn 0 (String.length torn / 2)
+      in
+      Out_channel.with_open_bin journal (fun oc ->
+          Out_channel.output_string oc image);
+      let s = S.Disk.open_ ~dir in
+      let before = S.Disk.stats () in
+      List.iter
+        (fun k ->
+           Alcotest.(check (option string)) ("serves " ^ k) (Some ("v:" ^ k))
+             (S.Disk.find s ~key:k))
+        keys;
+      Alcotest.(check int) "no misses" 0 (since before).S.Disk.misses;
+      let r = S.Fsck.scan s and r2 = S.Fsck.scan ~repair:true s in
+      Alcotest.(check bool) "scan: clean" true (S.Fsck.clean r && r.S.Fsck.entries = []);
+      Alcotest.(check int) "scan: every record sound" 3 r.S.Fsck.sound;
+      Alcotest.(check int) "repair removes nothing" 0 r2.S.Fsck.removed;
+      Alcotest.(check string) "journal untouched" image
+        (In_channel.with_open_bin journal In_channel.input_all))
 
 (* ---- crash-recovery property -------------------------------------- *)
 
@@ -331,7 +350,6 @@ let prop_faulted_store_repairs_clean =
                    | Some p -> p = "payload:" ^ k)
                 keys
             in
-            S.Disk.close s;
             S.Fsck.clean repaired && S.Fsck.clean after
             && after.S.Fsck.removed = 0 && honest))
 
@@ -402,6 +420,8 @@ let () =
       ("fsck",
        [ Alcotest.test_case "classify and repair" `Quick
            test_fsck_classify_and_repair;
+         Alcotest.test_case "older layout served and clean" `Quick
+           test_fsck_old_layout;
          QCheck_alcotest.to_alcotest prop_faulted_store_repairs_clean ]);
       ("sweep",
        [ Alcotest.test_case "byte-identical store-less/cold/warm" `Quick
