@@ -536,7 +536,7 @@ let chaos jobs store seed json smoke soak disk trace metrics =
     let plans =
       if smoke then Fault.Catalog.disk_smoke else Fault.Catalog.disk
     in
-    let report = Chaos.disk ~seed ~plans () in
+    let report = Chaos.disk ~plans () in
     if json then print_endline (Chaos.disk_to_json report)
     else Format.printf "%a@." Chaos.pp_disk report;
     match Chaos.disk_violations report with
@@ -888,13 +888,20 @@ let disk_flag =
                byte-identical analysis results under every fault and a clean \
                store after $(b,fsck --repair).")
 
+let chaos_seed_arg =
+  Arg.(value & opt int Chaos.default_seed
+       & info [ "seed" ] ~docv:"SEED"
+         ~doc:"PRNG seed of the retry schedules in the default (pipeline \
+               matrix) run and of the $(b,--soak) server.  $(b,--disk) reads \
+               none: each durability plan draws from its own seed.")
+
 let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Replay every fault plan against the supervised pipeline and check \
              the resilience contract: no lost items, bounded retries, \
              deterministic reports")
-    Term.(ret (const chaos $ jobs_arg $ store_arg $ seed_arg $ json_flag
+    Term.(ret (const chaos $ jobs_arg $ store_arg $ chaos_seed_arg $ json_flag
                $ smoke_arg $ soak_flag $ disk_flag $ trace_arg
                $ metrics_file_arg))
 

@@ -369,10 +369,7 @@ type disk_run = {
   post_repair_matches : bool;
 }
 
-type disk_report = {
-  disk_seed : int;
-  disk_runs : disk_run list;
-}
+type disk_report = { disk_runs : disk_run list }
 
 (* Scratch store directories under the system temp dir, one per plan
    run, removed afterwards.  [Filename.temp_file] gives a unique name
@@ -398,7 +395,7 @@ let rec rm_rf path =
    sweeps and the post-repair sweep render byte-identically to the
    reference: injected durability faults may cost recomputes, never
    results. *)
-let disk_run_one ~seed:_ plan =
+let disk_run_one plan =
   Obs.Span.with_span ~cat:"chaos" ("disk:" ^ plan.Fault.Plan.name) @@ fun () ->
   let sweep () = Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ()) in
   let reference = sweep () in
@@ -431,8 +428,8 @@ let disk_run_one ~seed:_ plan =
     post_repair;
     post_repair_matches = reference = post_json }
 
-let disk ?(seed = default_seed) ?(plans = Fault.Catalog.disk) () =
-  { disk_seed = seed; disk_runs = List.map (disk_run_one ~seed) plans }
+let disk ?(plans = Fault.Catalog.disk) () =
+  { disk_runs = List.map disk_run_one plans }
 
 let disk_run_violations (dr : disk_run) =
   let where = Printf.sprintf "plan %s, disk leg" dr.disk_plan.Fault.Plan.name in
@@ -463,11 +460,11 @@ let disk_to_json r =
   Json.(
     to_string
       (Obj
-         [ ("seed", Int r.disk_seed); ("ok", Bool (disk_ok r));
+         [ ("ok", Bool (disk_ok r));
            ("plans", List (List.map disk_run_to_json r.disk_runs)) ]))
 
 let pp_disk ppf r =
-  Format.fprintf ppf "@[<v>chaos disk: seed %d, %d plan%s@," r.disk_seed
+  Format.fprintf ppf "@[<v>chaos disk: %d plan%s@,"
     (List.length r.disk_runs)
     (if List.length r.disk_runs = 1 then "" else "s");
   List.iter

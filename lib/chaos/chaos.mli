@@ -157,15 +157,12 @@ type disk_run = {
   post_repair_matches : bool;
 }
 
-type disk_report = {
-  disk_seed : int;
-  disk_runs : disk_run list;
-}
+type disk_report = { disk_runs : disk_run list }
 
-val disk :
-  ?seed:int -> ?plans:Fault.Plan.t list -> unit -> disk_report
-(** Defaults: {!default_seed}, {!Fault.Catalog.disk}.  Each plan gets
-    a fresh scratch store under the system temp directory, removed
+val disk : ?plans:Fault.Plan.t list -> unit -> disk_report
+(** Default: {!Fault.Catalog.disk}.  Each plan's faults are drawn from
+    the plan's own seed, so the leg takes none.  Each plan gets a
+    fresh scratch store under the system temp directory, removed
     before returning. *)
 
 val disk_violations : disk_report -> string list
