@@ -56,26 +56,12 @@ let lex input =
       | '/' when i + 1 < n && input.[i + 1] = '/' ->
           let rec eol j = if j < n && input.[j] <> '\n' then eol (j + 1) else j in
           go (eol i)
-      | '"' ->
-          let b = Buffer.create 16 in
-          let rec str j =
-            if j >= n then fail !line "unterminated string"
-            else
-              match input.[j] with
-              | '"' -> j + 1
-              | '\\' when j + 1 < n ->
-                  (match input.[j + 1] with
-                   | 'n' -> Buffer.add_char b '\n'
-                   | 't' -> Buffer.add_char b '\t'
-                   | c -> Buffer.add_char b c);
-                  str (j + 2)
-              | c ->
-                  Buffer.add_char b c;
-                  str (j + 1)
-          in
-          let stop = str (i + 1) in
-          emit (STRING (Buffer.contents b));
-          go stop
+      | '"' -> (
+          match Pfsm.Strcodec.string_literal input i with
+          | Ok (stop, s) ->
+              emit (STRING s);
+              go stop
+          | Error message -> fail !line message)
       | '0' .. '9' -> (
           (* 2^62 lexes as [min_int]: only a unary minus may take it
              ([parse_unary]) *)

@@ -41,28 +41,12 @@ let lex input =
       | '=' when i + 1 < n && input.[i + 1] = '=' -> emit i EQEQ; go (i + 2)
       | '!' when i + 1 < n && input.[i + 1] = '=' -> emit i NE; go (i + 2)
       | '!' -> emit i BANG; go (i + 1)
-      | '"' ->
-          let b = Buffer.create 16 in
-          let rec str j =
-            if j >= n then fail i "unterminated string"
-            else
-              match input.[j] with
-              | '"' -> j + 1
-              | '\\' when j + 1 < n ->
-                  (match input.[j + 1] with
-                   | 'n' -> Buffer.add_char b '\n'
-                   | 't' -> Buffer.add_char b '\t'
-                   | '\\' -> Buffer.add_char b '\\'
-                   | '"' -> Buffer.add_char b '"'
-                   | c -> Buffer.add_char b c);
-                  str (j + 2)
-              | c ->
-                  Buffer.add_char b c;
-                  str (j + 1)
-          in
-          let next = str (i + 1) in
-          emit i (STRING (Buffer.contents b));
-          go next
+      | '"' -> (
+          match Strcodec.string_literal input i with
+          | Ok (next, s) ->
+              emit i (STRING s);
+              go next
+          | Error message -> fail i message)
       | '0' when i + 1 < n && input.[i + 1] = 'x' ->
           (* up to 63 bits, the most [Value.pp] prints for an address;
              the top bit lands in the sign *)
@@ -80,6 +64,7 @@ let lex input =
             else (j, acc)
           in
           let next, v = hex (i + 2) 0 in
+          if next = i + 2 then fail i "expected hex digits";
           emit i (HEX v);
           go next
       | '0' .. '9' | '-' ->

@@ -63,6 +63,21 @@ let negated_decimal s start =
   in
   go start 0
 
+let string_literal s start =
+  let n = String.length s in
+  let rec close j =
+    if j >= n then Error "unterminated string"
+    else
+      match s.[j] with
+      | '"' -> (
+          match Scanf.unescaped (String.sub s (start + 1) (j - start - 1)) with
+          | body -> Ok (j + 1, body)
+          | exception Scanf.Scan_failure _ -> Error "bad escape in string literal")
+      | '\\' -> close (j + 2)
+      | _ -> close (j + 1)
+  in
+  close (start + 1)
+
 let int32_min = -0x8000_0000
 
 let int32_max = 0x7fff_ffff

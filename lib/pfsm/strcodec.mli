@@ -25,6 +25,15 @@ val negated_decimal : string -> int -> (int * int) option
     that the magnitude of [min_int] fits.  [None] when the magnitude
     exceeds it.  Both lexers read integer literals with it. *)
 
+val string_literal : string -> int -> (int * string, string) result
+(** [string_literal s i] reads the string literal whose opening quote
+    is [s.[i]], in the escaped form [%S] prints: the index after its
+    closing quote and its bytes, decoded by [Scanf.unescaped], the
+    exact inverse of [%S] on every byte.  [Error] names an
+    unterminated literal or an escape [%S] never prints (a backslash
+    before [q], a decimal escape over 255).  Both lexers read string
+    literals with it. *)
+
 val parse_integer : string -> int option
 (** Mathematical value of an optionally-signed decimal string; [None]
     when the string is not an integer at all.  Values beyond OCaml's

@@ -560,7 +560,21 @@ let test_parser_literal_range () =
        | Ok { A.body = [ A.Return (A.Int_lit m) ]; _ } ->
            Alcotest.(check int) "same literal" n m
        | _ -> Alcotest.fail (A.func_to_string f))
-    [ max_int; min_int; 0 ]
+    [ max_int; min_int; 0 ];
+  (* string literals print with %S and lex back byte for byte *)
+  let f =
+    { A.name = "f"; params = [];
+      body = [ A.Decl_buf ("b", 8); A.Strcpy ("b", A.Str_lit "\r\001\255") ] }
+  in
+  (match Minic.Parser.func (A.func_to_string f) with
+   | Ok { A.body = [ _; A.Strcpy (_, A.Str_lit s) ]; _ } ->
+       Alcotest.(check string) "escaped bytes" "\r\001\255" s
+   | _ -> Alcotest.fail (A.func_to_string f));
+  match Minic.Parser.func "int f() {\n  char b[8];\n  strcpy(b, \"a\\q\");\n}" with
+  | Ok g -> Alcotest.fail ("bad escape parsed: " ^ A.func_to_string g)
+  | Error e ->
+      Alcotest.(check (pair int string)) "bad escape" (3, "bad escape in string literal")
+        (e.Minic.Parser.line, e.Minic.Parser.message)
 
 (* ---- the compiled interpreter against the tree-walking oracle ------ *)
 

@@ -84,6 +84,15 @@ let test_parse_literal_range () =
     (e.Parse.position, e.Parse.message);
   ignore (err "self > 4611686018427387904");
   List.iter
+    (fun (src, message) ->
+       let e = err src in
+       Alcotest.(check (pair int string)) src (8, message)
+         (e.Parse.position, e.Parse.message))
+    [ ("self == 0x", "expected hex digits");
+      ({|self == "a\q"|}, "bad escape in string literal");
+      ({|self == "\999"|}, "bad escape in string literal");
+      ({|self == "a\"|}, "unterminated string") ];
+  List.iter
     (fun v ->
        let p = P.Cmp (P.Eq, P.Self, P.Lit v) in
        Alcotest.(check bool) (P.to_string p) true (ok (P.to_string p) = p))
@@ -158,7 +167,7 @@ let test_roundtrip_all_model_predicates () =
 let gen_pred =
   let open QCheck.Gen in
   let gen_key = oneofl [ "k"; "buffer.size"; "got.unchanged" ] in
-  let gen_needle = oneofl [ "../"; "%n"; "abc" ] in
+  let gen_needle = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 6) in
   let gen_term =
     oneof
       [ return P.Self;
