@@ -791,7 +791,7 @@ let resilience chaos =
   let m =
     leg ~section:"RESILIENCE" "fault-free corpus sweep, one round = 64 sweeps per side"
       [ ("sweep-raw-ms", repeat 64 Staticcheck.Linter.corpus_sweep);
-        ("sweep-supervised-ms", repeat 64 (Staticcheck.Linter.supervised_sweep ~parallel:true)) ]
+        ("sweep-supervised-ms", repeat 64 Staticcheck.Linter.supervised_sweep) ]
   in
   ratio ~section:"RESILIENCE" "wrapper-overhead-pct" ~base:m.(0) m.(1)
     ((m.(1).median -. m.(0).median) /. m.(0).median *. 100.);

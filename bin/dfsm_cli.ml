@@ -158,7 +158,7 @@ let exploit_cmd jobs store resume checkpoint stop_after trace metrics =
   if supervising resume checkpoint stop_after then begin
     let cp = checkpoint_of ~default:".dfsm-exploit.checkpoint" resume checkpoint in
     let rows, report =
-      Exploit.Driver.supervised_rows ?checkpoint:cp ?stop_after ~parallel:true ()
+      Exploit.Driver.supervised_rows ?checkpoint:cp ?stop_after ()
     in
     let expected = List.length Exploit.Driver.app_row_groups in
     sweep_finished cp report ~expected;
@@ -377,8 +377,7 @@ let lint jobs store corpus file json arrays resume checkpoint stop_after trace
     if supervising resume checkpoint stop_after then begin
       let cp = checkpoint_of ~default:".dfsm-lint.checkpoint" resume checkpoint in
       let rows, report =
-        Staticcheck.Linter.supervised_sweep ?checkpoint:cp ?stop_after
-          ~parallel:true ()
+        Staticcheck.Linter.supervised_sweep ?checkpoint:cp ?stop_after ()
       in
       let expected = List.length Minic.Corpus.all in
       sweep_finished cp report ~expected;
@@ -501,8 +500,7 @@ let faults jobs store smoke resume checkpoint stop_after trace metrics =
     if supervising resume checkpoint stop_after then begin
       let cp = checkpoint_of ~default:".dfsm-faults.checkpoint" resume checkpoint in
       let reports, report =
-        Exploit.Fault_matrix.supervised_run ~plans ?checkpoint:cp ?stop_after
-          ~parallel:true ()
+        Exploit.Fault_matrix.supervised_run ~plans ?checkpoint:cp ?stop_after ()
       in
       sweep_finished cp report ~expected:(List.length plans);
       (reports, Some report)

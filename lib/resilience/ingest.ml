@@ -14,9 +14,9 @@ let line_of_row (row : Csv.row) =
 
 (* One data row: re-render, pass through the corruption seam, then
    re-tokenise and type what actually arrived.  Deliberately free of
-   shared state: under [parallel] supervision this closure runs
-   speculatively on pool domains, so anything cross-row (duplicate-id
-   detection) belongs to the sequential post-pass below. *)
+   shared state: supervision runs this closure speculatively on pool
+   domains, so anything cross-row (duplicate-id detection) belongs to
+   the sequential post-pass below. *)
 let ingest_row (row : Csv.row) () =
   let text = Fault.Hooks.mangle (line_of_row row) in
   let row' =
@@ -38,8 +38,7 @@ let duplicate_error (row : Csv.row) id =
     field = Some (string_of_int id);
     message = "duplicate report id" }
 
-let csv ?(label = "csv-ingest") ?config ?checkpoint ?stop_after
-    ?(parallel = false) text =
+let csv ?(label = "csv-ingest") ?config ?checkpoint ?stop_after text =
   match Csv.parse_rows text with
   | Error e -> Error e
   | Ok [] ->
@@ -66,7 +65,7 @@ let csv ?(label = "csv-ingest") ?config ?checkpoint ?stop_after
             rows
         in
         let outcome =
-          Supervisor.run ~label ?config ?checkpoint ?stop_after ~parallel items
+          Supervisor.run ~label ?config ?checkpoint ?stop_after items
         in
         (* Duplicate detection, owned by this (sequential) pass over
            the results in replay order: the first row carrying an id
@@ -151,31 +150,3 @@ let csv ?(label = "csv-ingest") ?config ?checkpoint ?stop_after
             report;
             rejected }
       end
-
-let synth_verified ?config ~seed () =
-  let db = ref None and text = ref None and reparsed = ref None in
-  let require what r =
-    match !r with
-    | Some v -> v
-    | None -> raise (Quarantine.Reject (what ^ " stage did not complete"))
-  in
-  let stage id work = { Supervisor.id; resource = "synth"; work } in
-  Supervisor.run ~label:"synth-ingest" ?config
-    [ stage "synth:generate" (fun () ->
-          let d = Vulndb.Synth.generate ~seed in
-          db := Some d;
-          Printf.sprintf "%d reports" (Database.size d));
-      stage "synth:export" (fun () ->
-          let s = Csv.of_database (require "generate" db) in
-          text := Some s;
-          Printf.sprintf "%d bytes" (String.length s));
-      stage "synth:reparse" (fun () ->
-          match Csv.parse (Fault.Hooks.mangle (require "export" text)) with
-          | Error e -> reject e
-          | Ok rs ->
-              reparsed := Some rs;
-              Printf.sprintf "%d rows" (List.length rs));
-      stage "synth:verify" (fun () ->
-          let d = require "generate" db and rs = require "reparse" reparsed in
-          if rs = Database.reports d then "roundtrip ok"
-          else raise (Quarantine.Reject "roundtrip mismatch")) ]

@@ -19,7 +19,6 @@ val csv :
   ?config:Supervisor.config ->
   ?checkpoint:Checkpoint.t ->
   ?stop_after:int ->
-  ?parallel:bool ->
   string ->
   (csv_outcome, Vulndb.Csv.error) result
 (** Document-level problems — the text does not tokenise, or the
@@ -31,14 +30,5 @@ val csv :
     would otherwise throw the whole database away) — detected in a
     sequential post-pass over the supervised results, first
     occurrence wins, so the per-row work closures share no state and
-    [parallel] ingestion (default false: speculate rows on the {!Par}
-    pool) reaches a byte-identical outcome at any [-j]. *)
-
-val synth_verified :
-  ?config:Supervisor.config -> seed:int -> unit -> string Supervisor.outcome
-(** The synthetic-population round trip as a staged, supervised
-    pipeline: generate the {!Vulndb.Synth} database, export it to
-    CSV, re-parse the (mangled) text, and verify the round trip —
-    four items sharing the ["synth"] resource, each later stage
-    rejecting with a typed cause when its prerequisite was
-    quarantined rather than crashing the sweep. *)
+    the rows {!Supervisor.run} speculates on the {!Par} pool reach a
+    byte-identical outcome at any [-j]. *)

@@ -31,7 +31,7 @@ let speculate ~label f keyed =
         match r with Ok v -> v | Error e -> raise e)
 
 let run ?(label = "supervised") ?(config = default_config) ?checkpoint
-    ?stop_after ?(parallel = false) items =
+    ?stop_after items =
   Obs.Span.with_span ~cat:"resilience"
     ~args:[ ("label", label); ("items", string_of_int (List.length items)) ]
     ("supervise:" ^ label)
@@ -61,7 +61,7 @@ let run ?(label = "supervised") ?(config = default_config) ?checkpoint
      outcomes, which keeps the item spans of a traced run at the same
      (epoch, slot) coordinates for every job count. *)
   let invoke =
-    if parallel && stop_after = None && Fault.Hooks.current () = None then
+    if stop_after = None && Fault.Hooks.current () = None then
       speculate ~label:(label ^ ".speculate") item_span
         (List.mapi (fun i it -> (i, it)) items
          |> List.filter (fun (_, it) -> not (checkpointed it)))

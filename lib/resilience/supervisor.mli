@@ -46,7 +46,6 @@ val run :
   ?config:config ->
   ?checkpoint:Checkpoint.t ->
   ?stop_after:int ->
-  ?parallel:bool ->
   'a item list ->
   'a outcome
 (** [stop_after] simulates an interruption: after that many items
@@ -54,17 +53,17 @@ val run :
     dead, leaving the rest unprocessed and unreported — exactly what
     a kill would do.  Used by the resume tests and [--stop-after].
 
-    [parallel] (default false) speculates the first invocation of each
-    fresh item with {!speculate}, then replays the supervision loop
-    sequentially, consuming each speculative result at the item's
-    first invocation.  Clock, breakers and checkpoint appends all live
-    in the replaying domain, so {!Run_report} accounting stays
-    exactly-once and the outcome is byte-identical to the sequential
-    run for any job count — provided distinct items do not share
-    mutable state.  Ignored (safely sequential) under [stop_after] or
-    an active fault injector.  It still speculates at [-j 1], where
-    the pool runs the items in order, so a traced run's item spans
-    sit at the same coordinates for every job count. *)
+    The first invocation of each fresh item is speculated with
+    {!speculate}, then the supervision loop replays sequentially,
+    consuming each speculative result at the item's first invocation.
+    Clock, breakers and checkpoint appends all live in the replaying
+    domain, so {!Run_report} accounting stays exactly-once and the
+    outcome is byte-identical to a sequential run for any job count —
+    provided distinct items do not share mutable state.  The sweep
+    runs sequentially, without speculation, under [stop_after] or an
+    active fault injector.  It still speculates at [-j 1], where the
+    pool runs the items in order, so a traced run's item spans sit at
+    the same coordinates for every job count. *)
 
 val speculate :
   label:string -> ('a -> 'b) -> (int * 'a) list -> int -> (unit -> 'b) -> 'b

@@ -149,10 +149,10 @@ let sweep_item ~config (label, f) =
          lint_row ~config (label, f)) }
 
 let supervised_sweep ?(config = corpus_config) ?supervise ?checkpoint
-    ?stop_after ?parallel () =
+    ?stop_after () =
   let outcome =
     Resilience.Supervisor.run ~label:"lint-sweep" ?config:supervise ?checkpoint
-      ?stop_after ?parallel
+      ?stop_after
       (List.map (sweep_item ~config) Minic.Corpus.all)
   in
   (List.map snd outcome.Resilience.Supervisor.results,

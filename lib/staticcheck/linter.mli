@@ -65,7 +65,6 @@ val supervised_sweep :
   ?supervise:Resilience.Supervisor.config ->
   ?checkpoint:Resilience.Checkpoint.t ->
   ?stop_after:int ->
-  ?parallel:bool ->
   unit ->
   sweep_row list * Resilience.Run_report.t
 (** The corpus sweep as a supervised batch: one work item per variant

@@ -162,12 +162,19 @@ let flaky_items n =
              end;
              i * i) })
 
+(* An installed injector turns speculation off: the no-op plan gives
+   a sequential reference run. *)
+let sequential f = Fault.Hooks.with_plan Fault.Catalog.none f
+
 let test_parallel_supervision () =
   let n = 12 in
-  let sequential = Resilience.Supervisor.run ~label:"par-test" (flaky_items n) in
+  let sequential =
+    sequential (fun () ->
+        Resilience.Supervisor.run ~label:"par-test" (flaky_items n))
+  in
   let parallel =
     with_jobs 4 (fun () ->
-        Resilience.Supervisor.run ~label:"par-test" ~parallel:true (flaky_items n))
+        Resilience.Supervisor.run ~label:"par-test" (flaky_items n))
   in
   Alcotest.(check bool) "no lost items" true
     (Resilience.Run_report.no_lost ~expected:n parallel.Resilience.Supervisor.report);
@@ -189,34 +196,34 @@ let test_speculation_keyed_by_position () =
       (List.map (fun (id, v) -> Printf.sprintf "%s=%d" id v)
          o.Resilience.Supervisor.results)
   in
-  let sequential = render (Resilience.Supervisor.run (items ())) in
+  let sequential =
+    sequential (fun () -> render (Resilience.Supervisor.run (items ())))
+  in
   Alcotest.(check string) "sequential" "x=1; x=2" sequential;
   List.iter
     (fun j ->
        Alcotest.(check string)
          (Printf.sprintf "parallel at -j %d" j)
          sequential
-         (with_jobs j (fun () ->
-              render (Resilience.Supervisor.run ~parallel:true (items ())))))
+         (with_jobs j (fun () -> render (Resilience.Supervisor.run (items ())))))
     job_counts
 
 let test_parallel_supervision_with_faults () =
   (* under an active fault plan the serial guard must keep the
-     injector's event stream intact: parallel and sequential sweeps
-     see identical reports *)
+     injector's event stream intact: sweeps at every job count see
+     identical reports *)
   let plan = List.hd Fault.Catalog.smoke in
-  let sweep parallel =
+  let sweep () =
     Fault.Hooks.with_plan plan (fun () ->
-        let _, report = Staticcheck.Linter.supervised_sweep ~parallel () in
+        let _, report = Staticcheck.Linter.supervised_sweep () in
         Format.asprintf "%a" Resilience.Run_report.pp report)
   in
-  let reference = with_jobs 1 (fun () -> sweep false) in
+  let reference = with_jobs 1 sweep in
   List.iter
     (fun j ->
        Alcotest.(check string)
          (Printf.sprintf "faulted sweep at -j %d" j)
-         reference
-         (with_jobs j (fun () -> sweep true)))
+         reference (with_jobs j sweep))
     job_counts
 
 (* ---- the analysis memo ------------------------------------------- *)

@@ -543,7 +543,8 @@ let test_ingest_duplicates_parallel_identical () =
      behind a shared Hashtbl, so speculating rows on pool domains
      raced on it; it is now a sequential post-pass, and a
      duplicate-bearing document must ingest identically at -j 1
-     sequential and -j 4 parallel *)
+     without speculation (an installed injector turns it off) and
+     speculated at -j 4 *)
   let reports = Vulndb.Database.reports (Vulndb.Seed_data.database ()) in
   let first = List.hd reports in
   let impostor =
@@ -561,8 +562,11 @@ let test_ingest_duplicates_parallel_identical () =
     @ [ Vulndb.Csv.of_report impostor ]
   in
   let doc = String.concat "\n" (Vulndb.Csv.header :: rows) ^ "\n" in
-  let seq = with_jobs 1 (fun () -> R.Ingest.csv doc) in
-  let par = with_jobs 4 (fun () -> R.Ingest.csv ~parallel:true doc) in
+  let seq =
+    with_jobs 1 (fun () ->
+        Fault.Hooks.with_plan Fault.Catalog.none (fun () -> R.Ingest.csv doc))
+  in
+  let par = with_jobs 4 (fun () -> R.Ingest.csv doc) in
   match seq, par with
   | Ok a, Ok b ->
       Alcotest.(check bool) "databases identical" true
@@ -620,14 +624,6 @@ let test_ingest_many_rejects () =
         (R.Run_report.no_lost
            ~expected:(List.length valid + List.length bad)
            o.R.Ingest.report)
-
-let test_synth_verified () =
-  let out = R.Ingest.synth_verified ~seed:20021130 () in
-  Alcotest.(check bool) "four stages complete" true
-    (R.Run_report.ok out.Sup.report && R.Run_report.total out.Sup.report = 4);
-  match List.assoc_opt "synth:verify" out.Sup.results with
-  | Some "roundtrip ok" -> ()
-  | _ -> Alcotest.fail "synthetic database did not round-trip"
 
 (* ---- chaos -------------------------------------------------------- *)
 
@@ -711,8 +707,7 @@ let () =
          Alcotest.test_case "duplicates: -j 1 = -j 4 parallel" `Quick
            test_ingest_duplicates_parallel_identical;
          Alcotest.test_case "many rejects back-map instantly" `Quick
-           test_ingest_many_rejects;
-         Alcotest.test_case "synth pipeline" `Quick test_synth_verified ]);
+           test_ingest_many_rejects ]);
       ("chaos",
        [ Alcotest.test_case "catalog contract" `Quick test_chaos_contract;
          Alcotest.test_case "stable smoke" `Quick test_chaos_stable;
