@@ -68,7 +68,9 @@ let open_ ~dir =
   if Sys.file_exists dir && not (Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": not a directory"));
   Io.mkdir_p (Filename.concat dir "objects");
-  { root = dir; lock = Mutex.create (); needs_repair = Hashtbl.create 16 }
+  { root = dir;
+    lock = Mutex.create ();
+    needs_repair = Hashtbl.create 16 }
 
 let dir t = t.root
 

@@ -7,7 +7,11 @@ let status_to_string = function
   | Stale_version -> "stale-version"
   | Orphan_tmp -> "orphan-tmp"
 
-type entry = { path : string; status : status; removed : bool }
+type entry = {
+  path : string;
+  status : status;
+  removed : bool;
+}
 
 type report = {
   entries : entry list;

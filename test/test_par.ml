@@ -164,12 +164,12 @@ let flaky_items n =
 
 (* An installed injector turns speculation off: the no-op plan gives
    a sequential reference run. *)
-let sequential f = Fault.Hooks.with_plan Fault.Catalog.none f
+let unspeculated f = Fault.Hooks.with_plan Fault.Catalog.none f
 
 let test_parallel_supervision () =
   let n = 12 in
   let sequential =
-    sequential (fun () ->
+    unspeculated (fun () ->
         Resilience.Supervisor.run ~label:"par-test" (flaky_items n))
   in
   let parallel =
@@ -197,7 +197,7 @@ let test_speculation_keyed_by_position () =
          o.Resilience.Supervisor.results)
   in
   let sequential =
-    sequential (fun () -> render (Resilience.Supervisor.run (items ())))
+    unspeculated (fun () -> render (Resilience.Supervisor.run (items ())))
   in
   Alcotest.(check string) "sequential" "x=1; x=2" sequential;
   List.iter
