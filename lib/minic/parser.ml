@@ -60,6 +60,9 @@ let lex input =
           match Pfsm.Strcodec.string_literal input i with
           | Ok (stop, s) ->
               emit (STRING s);
+              for j = i to stop - 1 do
+                if input.[j] = '\n' then incr line
+              done;
               go stop
           | Error message -> fail !line message)
       | '0' .. '9' -> (

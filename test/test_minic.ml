@@ -533,9 +533,30 @@ let test_parser_program_multiple_funcs () =
   | Error e -> Alcotest.fail e.Minic.Parser.message
 
 let test_parser_error_reports_line () =
-  match Minic.Parser.func "int f() {\n  int x = ;\n}" with
-  | Ok _ -> Alcotest.fail "parsed garbage"
-  | Error e -> Alcotest.(check int) "line 2" 2 e.Minic.Parser.line
+  (match Minic.Parser.func "int f() {\n  int x = ;\n}" with
+   | Ok _ -> Alcotest.fail "parsed garbage"
+   | Error e -> Alcotest.(check int) "line 2" 2 e.Minic.Parser.line);
+  (* a raw newline inside a string literal starts a source line too *)
+  let two_line_literal = "int f() {\n  char b[8];\n  strcpy(b, \"a\nb\");\n" in
+  (match Minic.Parser.func (two_line_literal ^ "\n@\n}") with
+   | Ok g -> Alcotest.fail ("parsed garbage: " ^ A.func_to_string g)
+   | Error e ->
+       Alcotest.(check (pair int string)) "after a two-line literal"
+         (6, "unexpected character @")
+         (e.Minic.Parser.line, e.Minic.Parser.message));
+  match
+    Minic.Parser.func
+      (two_line_literal ^ "  strcpy(b, \"aaaaaaaaaaaa\");\n  return 0;\n}")
+  with
+  | Error e -> Alcotest.failf "line %d: %s" e.Minic.Parser.line e.Minic.Parser.message
+  | Ok f -> (
+      match (Staticcheck.Linter.lint f).Staticcheck.Linter.findings with
+      | [ finding ] ->
+          Alcotest.(check string) "the copy after the literal"
+            "2: strcpy(b, \"aaaaaaaaaaaa\");" finding.Staticcheck.Finding.site;
+          Alcotest.(check bool) "confirmed" true
+            (Staticcheck.Finding.is_confirmed finding)
+      | fs -> Alcotest.failf "%d findings" (List.length fs))
 
 (* An integer literal outside the int range is a located error, not a
    wrapped value; [min_int], which prints as [-4611686018427387904],
