@@ -62,18 +62,10 @@ type confusion = { n : int; counts : int array }
 
 let confusion_empty = { n = 0; counts = Array.make (ncat * ncat) 0 }
 
-let confuse m ~truth ~predicted =
-  let counts = Array.copy m.counts in
-  let k = (truth * ncat) + predicted in
-  counts.(k) <- counts.(k) + 1;
-  { n = m.n + 1; counts }
-
 let confusion_merge a b =
   { n = a.n + b.n; counts = Array.init (ncat * ncat) (fun k -> a.counts.(k) + b.counts.(k)) }
 
 let classify_all model reports =
-  (* in-place accumulation: [confuse] copies, which is fine for tests
-     but not for a million-report sweep *)
   let counts = Array.make (ncat * ncat) 0 in
   let n = ref 0 in
   List.iter

@@ -32,8 +32,6 @@ type confusion = {
 
 val confusion_empty : confusion
 
-val confuse : confusion -> truth:int -> predicted:int -> confusion
-
 val confusion_merge : confusion -> confusion -> confusion
 
 val classify_all : model -> Vulndb.Report.t list -> confusion
