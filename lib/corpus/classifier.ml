@@ -4,10 +4,20 @@ let categories = Array.of_list Category.all
 
 let ncat = Array.length categories
 
-let category_index =
-  let tbl = Hashtbl.create ncat in
-  Array.iteri (fun i c -> Hashtbl.replace tbl (Category.to_string c) i) categories;
-  fun c -> Hashtbl.find tbl (Category.to_string c)
+(* The position in [Category.all]. *)
+let category_index = function
+  | Category.Access_validation_error -> 0
+  | Category.Atomicity_error -> 1
+  | Category.Boundary_condition_error -> 2
+  | Category.Configuration_error -> 3
+  | Category.Design_error -> 4
+  | Category.Environment_error -> 5
+  | Category.Failure_to_handle_exceptional_conditions -> 6
+  | Category.Input_validation_error -> 7
+  | Category.Origin_validation_error -> 8
+  | Category.Race_condition_error -> 9
+  | Category.Serialization_error -> 10
+  | Category.Unknown -> 11
 
 type model = { centroids : float array array }
 
@@ -65,17 +75,49 @@ let confusion_empty = { n = 0; counts = Array.make (ncat * ncat) 0 }
 let confusion_merge a b =
   { n = a.n + b.n; counts = Array.init (ncat * ncat) (fun k -> a.counts.(k) + b.counts.(k)) }
 
-let classify_all model reports =
+(* [predict], split at [Features.row_dim].  Its sum over the row slots
+   depends only on the report's row, so it is summed once per (row,
+   centroid) pair, in [predict]'s order; each report then adds its
+   tail squares in order.  The same additions in the same order give
+   the same floats, so every prediction equals
+   [predict model (Features.of_report r)]. *)
+let classify_all model iter =
+  let centroids = model.centroids in
+  let row_d = Array.make (Features.rows * ncat) 0. in
+  for row = 0 to Features.rows - 1 do
+    let v = Features.row row in
+    for i = 0 to ncat - 1 do
+      let c = centroids.(i) in
+      let d = ref 0. in
+      for k = 0 to Features.row_dim - 1 do
+        let x = v.(k) -. c.(k) in
+        d := !d +. (x *. x)
+      done;
+      row_d.((row * ncat) + i) <- !d
+    done
+  done;
+  let v = Array.make Features.dim 0. in
   let counts = Array.make (ncat * ncat) 0 in
   let n = ref 0 in
-  List.iter
-    (fun (r : Vulndb.Report.t) ->
-      let truth = category_index r.Vulndb.Report.category in
-      let predicted = predict model (Features.of_report r) in
-      let k = (truth * ncat) + predicted in
+  iter (fun (r : Vulndb.Report.t) ->
+      Features.set_tail r v;
+      let base = Features.row_of r * ncat in
+      let best = ref 0 and best_d = ref infinity in
+      for i = 0 to ncat - 1 do
+        let c = centroids.(i) in
+        let d = ref row_d.(base + i) in
+        for k = Features.row_dim to Features.dim - 1 do
+          let x = v.(k) -. c.(k) in
+          d := !d +. (x *. x)
+        done;
+        if !d < !best_d then begin
+          best := i;
+          best_d := !d
+        end
+      done;
+      let k = (category_index r.Vulndb.Report.category * ncat) + !best in
       counts.(k) <- counts.(k) + 1;
-      incr n)
-    reports;
+      incr n);
   { n = !n; counts }
 
 let accuracy m =

@@ -34,9 +34,13 @@ val confusion_empty : confusion
 
 val confusion_merge : confusion -> confusion -> confusion
 
-val classify_all : model -> Vulndb.Report.t list -> confusion
-(** Classify every report (truth = its recorded category) into a
-    fresh confusion matrix. *)
+val classify_all : model -> ((Vulndb.Report.t -> unit) -> unit) -> confusion
+(** [classify_all model iter] classifies every report [iter] visits
+    (truth = its recorded category) into a fresh confusion matrix.
+    Each prediction is [predict model (Features.of_report r)], bit for
+    bit, but the distance over the row slots (see {!Features}) is
+    summed once per row and centroid per call, so a report costs its
+    tail alone and allocates nothing. *)
 
 val accuracy : confusion -> float
 (** Trace over total; 0 on an empty matrix. *)

@@ -58,33 +58,61 @@ let flaw_table : float array array =
              float_of_int t.Pfsm.Metrics.missing_checks |])
     all_flaws
 
+(* A vector is a row of [row_table], chosen by (flaw, range), followed
+   by the report's tail: title length, word count, year.  Rows are
+   numbered [flaw_index * 3 + range_index]. *)
+let row_dim = model_dim + 3
+
+let range_index = function Report.Remote -> 0 | Report.Local -> 1 | Report.Both -> 2
+
+let row_table : float array array =
+  Array.init
+    (Array.length all_flaws * 3)
+    (fun i ->
+      let v = Array.make row_dim 0. in
+      Array.blit flaw_table.(i / 3) 0 v 0 model_dim;
+      v.(model_dim + (i mod 3)) <- 1.;
+      v)
+
+let rows = Array.length row_table
+
+let row i = Array.copy row_table.(i)
+
+let row_of (r : Report.t) = (flaw_index r.Report.flaw * 3) + range_index r.Report.range
+
+let is_digit c = c >= '0' && c <= '9'
+
+let digit s i = Char.code (String.unsafe_get s i) - Char.code '0'
+
+(* The year is the date's first four characters as an integer, counted
+   from 1998, or 0.  Four decimal digits, the only shape a generated
+   report has, are read in place; anything else goes through
+   [int_of_string_opt], which also reads signs, radix prefixes and
+   underscores. *)
 let year_of (r : Report.t) =
-  if String.length r.Report.date >= 4 then
-    match int_of_string_opt (String.sub r.Report.date 0 4) with
+  let d = r.Report.date in
+  if String.length d < 4 then 0
+  else if is_digit d.[0] && is_digit d.[1] && is_digit d.[2] && is_digit d.[3] then
+    (digit d 0 * 1000) + (digit d 1 * 100) + (digit d 2 * 10) + digit d 3 - 1998
+  else
+    match int_of_string_opt (String.sub d 0 4) with
     | Some y -> y - 1998
     | None -> 0
-  else 0
 
-let word_count s =
-  let words = ref 0 and in_word = ref false in
-  String.iter
-    (fun c ->
-      if c = ' ' then in_word := false
-      else if not !in_word then begin
-        in_word := true;
-        incr words
-      end)
-    s;
-  !words
+(* Words are maximal runs of non-space characters. *)
+let rec word_count s i n in_word =
+  if i = String.length s then n
+  else if String.unsafe_get s i = ' ' then word_count s (i + 1) n false
+  else if in_word then word_count s (i + 1) n true
+  else word_count s (i + 1) (n + 1) true
+
+let set_tail (r : Report.t) v =
+  v.(row_dim) <- float_of_int (String.length r.Report.title);
+  v.(row_dim + 1) <- float_of_int (word_count r.Report.title 0 0 false);
+  v.(row_dim + 2) <- float_of_int (year_of r)
 
 let of_report (r : Report.t) =
   let v = Array.make dim 0. in
-  Array.blit flaw_table.(flaw_index r.Report.flaw) 0 v 0 model_dim;
-  (match r.Report.range with
-   | Report.Remote -> v.(model_dim) <- 1.
-   | Report.Local -> v.(model_dim + 1) <- 1.
-   | Report.Both -> v.(model_dim + 2) <- 1.);
-  v.(model_dim + 3) <- float_of_int (String.length r.Report.title);
-  v.(model_dim + 4) <- float_of_int (word_count r.Report.title);
-  v.(model_dim + 5) <- float_of_int (year_of r);
+  Array.blit row_table.(row_of r) 0 v 0 row_dim;
+  set_tail r v;
   v

@@ -7,8 +7,15 @@
     cascade length, distinct objects, elementary activities,
     propagation gates, the three taxonomy kinds, missing checks) —
     and the report's Bugtraq metadata (exploitable range, title
-    shape, year).  The flaw-model features are computed once per flaw
-    at module initialisation; extraction is then allocation-light and
+    shape, year).
+
+    A vector is a {e row} followed by a {e tail}.  The row, slots
+    [\[0, row_dim)], depends only on the report's flaw and range, so
+    the {!rows} possible rows form a table built once at module
+    initialisation; the tail, slots [\[row_dim, dim)], is read from
+    the report itself.  A caller that computes something per row
+    (the classifier's centroid distances) does it once per table
+    entry, not once per report.  Extraction is allocation-light and
     safe to run on pool domains. *)
 
 val dim : int
@@ -25,8 +32,27 @@ val model_of_flaw : Vulndb.Report.flaw -> Pfsm.Model.t option
     path traversal → IIS.  [None] for [Other_flaw] (no modelled
     structure; its model features are zero). *)
 
+val row_dim : int
+(** Slots [\[0, row_dim)] of a vector are its row. *)
+
+val rows : int
+(** Number of distinct rows. *)
+
+val row_of : Vulndb.Report.t -> int
+(** The report's row, in [\[0, rows)]. *)
+
+val row : int -> float array
+(** A fresh copy of row [i]: [row_dim] slots, equal to the first
+    [row_dim] slots of {!of_report} for every report [r] with
+    [row_of r = i]. *)
+
+val set_tail : Vulndb.Report.t -> float array -> unit
+(** Write the report's tail into slots [\[row_dim, dim)] of a
+    [dim]-slot vector, leaving the other slots alone. *)
+
 val of_report : Vulndb.Report.t -> float array
-(** The feature vector; a pure function of the report. *)
+(** The feature vector, [row (row_of r)] then the tail; a pure
+    function of the report. *)
 
 val version : string
 (** Cache-key component: bump when the vector layout changes. *)

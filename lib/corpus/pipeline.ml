@@ -60,9 +60,12 @@ let run ?curated ~seed ~total ~chunk () =
                      seed chunk i md Features.version)
                 (fun () ->
                   Obs.Metrics.incr m_summaries;
-                  let reports = Synth.chunk_reports p ~seed ~chunk ~index:i in
-                  Obs.Metrics.add m_generated (List.length reports);
-                  Classifier.classify_all model reports)
+                  let c =
+                    Classifier.classify_all model
+                      (Synth.chunk_iter p ~seed ~chunk ~index:i)
+                  in
+                  Obs.Metrics.add m_generated c.Classifier.n;
+                  c)
             in
             let summaries =
               Par.map ~label:"corpus-classify" summary (Array.init n Fun.id)

@@ -327,6 +327,12 @@ let chunk_reports p ~seed ~chunk ~index =
   in
   go (hi - 1) []
 
+let chunk_iter p ~seed ~chunk ~index f =
+  let lo = index * chunk in
+  for pos = lo to min (plan_size p) (lo + chunk) - 1 do
+    f (report_at p ~seed ~pos)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Streaming generation.  Every report is a pure function of
    [(plan, seed, position)], so chunks fan out over the domain pool

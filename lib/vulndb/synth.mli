@@ -67,6 +67,13 @@ val report_at : plan -> seed:int -> pos:int -> Report.t
 val chunk_reports : plan -> seed:int -> chunk:int -> index:int -> Report.t list
 (** Positions [[index*chunk, min (plan_size) ((index+1)*chunk))]. *)
 
+val chunk_iter :
+  plan -> seed:int -> chunk:int -> index:int -> (Report.t -> unit) -> unit
+(** [chunk_iter p ~seed ~chunk ~index f] applies [f] to the reports of
+    {!chunk_reports}, in position order, without building the list:
+    each report can die young instead of living as long as its
+    chunk. *)
+
 val generate_stream :
   ?curated:Report.t list ->
   seed:int ->

@@ -74,8 +74,9 @@ let test_stream_jobs_identical () =
    property above cannot see a change in what it builds.  These digests
    pin the bytes themselves: the legacy corpus as `dfsm csv --seed 1`
    prints it, and chunks sampled across a million-report plan at
-   another seed.  Chunk 0 holds the curated reports, chunk 195 steps
-   over the curated ids 900001/900002, and chunk 244 is partial. *)
+   another seed, built as lists and visited by [chunk_iter].  Chunk 0
+   holds the curated reports, chunk 195 steps over the curated ids
+   900001/900002, and chunk 244 is partial. *)
 
 let md5_hex s = Digest.to_hex (Digest.string s)
 
@@ -94,7 +95,13 @@ let test_pinned_report_bytes () =
           Alcotest.(check string)
             (Printf.sprintf "1M plan, chunk %d" index)
             expected
-            (md5_hex (String.concat "\n" rows)))
+            (md5_hex (String.concat "\n" rows));
+          let visited = ref [] in
+          Synth.chunk_iter p ~seed:20021130 ~chunk:4096 ~index (fun r ->
+              visited := Vulndb.Csv.of_report r :: !visited);
+          Alcotest.(check (list string))
+            (Printf.sprintf "1M plan, chunk %d: chunk_iter = chunk_reports" index)
+            rows (List.rev !visited))
         [ (0, "d545bf4d11af1a03391f8f5b12d3a9e2");
           (1, "b336c3af281aebdecfd3e3ab03eb2bda");
           (122, "9f7d30a20f306e6169e6829d083a3c0a");
@@ -219,6 +226,138 @@ let test_classifier_chunk_and_jobs_invariant () =
   let j1 = at 1 in
   Alcotest.(check string) "-j2 byte-identical" j1 (at 2);
   Alcotest.(check string) "-j4 byte-identical" j1 (at 4)
+
+(* [classify_all] sums each (row, centroid) distance once per call and
+   adds each report's tail to it; [predict] sums all slots per report.
+   Both add the same floats in the same order, so they must agree
+   exactly: on arbitrary reports (empty titles, runs and leading
+   spaces, dates that are not four digits, every flaw, range and
+   category) against models trained on random vectors.  Some models
+   give several categories the same training vectors, and some give
+   every category the same ones: their centroids coincide, and only
+   the first of the tied categories may win. *)
+
+let all_flaws =
+  [ Report.Stack_buffer_overflow; Report.Heap_overflow; Report.Integer_overflow;
+    Report.Format_string; Report.File_race; Report.Path_traversal; Report.Other_flaw ]
+
+let gen_report =
+  let open QCheck.Gen in
+  let title = string_size ~gen:(oneofl [ ' '; ' '; 'a'; 'Z'; '9'; '-' ]) (int_range 0 30) in
+  let date =
+    oneof
+      [ map
+          (fun (y, m) -> Printf.sprintf "%04d-%02d-01" y m)
+          (pair (int_range 0 9999) (int_range 1 12));
+        oneofl
+          [ ""; "199"; "2001"; "abcd-01-01"; "0x1F-01-01"; "-199-01-01"; "+200-01-01";
+            "1_99-01-01"; "0b11"; "0o17"; " 200"; "20 1" ];
+        string_size ~gen:printable (int_range 0 6) ]
+  in
+  map
+    (fun ((title, date), (category, flaw, range)) ->
+      Report.make ~id:1 ~title ~date ~category ~software:"s" ~range ~flaw ())
+    (pair (pair title date)
+       (triple (oneofl Category.all) (oneofl all_flaws)
+          (oneofl [ Report.Remote; Report.Local; Report.Both ])))
+
+(* Labelled training vectors: random ones, or the features of random
+   reports so that the centroids sit among the reports classified. *)
+let gen_model =
+  let open QCheck.Gen in
+  let vector =
+    oneof
+      [ array_repeat Corpus.Features.dim (float_range (-10.) 80.);
+        map Corpus.Features.of_report gen_report ]
+  in
+  let per_category = list_size (int_range 0 3) vector in
+  let* own = list_repeat Corpus.Classifier.ncat per_category in
+  let* shared = per_category in
+  let* copies = list_repeat Corpus.Classifier.ncat (int_range 0 3) in
+  let* all_shared = frequencyl [ (3, false); (1, true) ] in
+  (* category [i] trains on its own vectors, on [shared] (copy 0), or
+     on category [i - 1]'s (copy 1) *)
+  let vectors =
+    List.mapi
+      (fun i (vs, copy) ->
+        if all_shared || copy = 0 then shared
+        else if copy = 1 && i > 0 then List.nth own (i - 1)
+        else vs)
+      (List.combine own copies)
+  in
+  return
+    (Corpus.Classifier.train
+       (List.to_seq
+          (List.concat
+             (List.map2 (fun c vs -> List.map (fun v -> (c, v)) vs) Category.all
+                vectors))))
+
+(* The tail and the range slots, found by name, against the plain
+   reading of the report; the rest of the vector is the report's row. *)
+let prop_of_report_slots =
+  let slot name =
+    let rec go i = if Corpus.Features.names.(i) = name then i else go (i + 1) in
+    go 0
+  in
+  QCheck.Test.make ~name:"corpus: of_report = row, then title length, words, year"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (r : Report.t) -> Printf.sprintf "%S %S" r.Report.title r.Report.date)
+       gen_report)
+    (fun (r : Report.t) ->
+      let v = Corpus.Features.of_report r in
+      let year =
+        if String.length r.Report.date < 4 then 0
+        else
+          match int_of_string_opt (String.sub r.Report.date 0 4) with
+          | Some y -> y - 1998
+          | None -> 0
+      in
+      let words =
+        List.length (List.filter (( <> ) "") (String.split_on_char ' ' r.Report.title))
+      in
+      let one_hot range = if r.Report.range = range then 1. else 0. in
+      Array.length v = Corpus.Features.dim
+      && Array.sub v 0 Corpus.Features.row_dim
+         = Corpus.Features.row (Corpus.Features.row_of r)
+      && v.(slot "range_remote") = one_hot Report.Remote
+      && v.(slot "range_local") = one_hot Report.Local
+      && v.(slot "range_both") = one_hot Report.Both
+      && v.(slot "title_length") = float_of_int (String.length r.Report.title)
+      && v.(slot "title_words") = float_of_int words
+      && v.(slot "year") = float_of_int year)
+
+let category_position c =
+  let rec go i = function
+    | [] -> assert false
+    | c' :: rest -> if Category.equal c c' then i else go (i + 1) rest
+  in
+  go 0 Category.all
+
+let predict_each model reports =
+  let ncat = Corpus.Classifier.ncat in
+  let counts = Array.make (ncat * ncat) 0 in
+  List.iter
+    (fun (r : Report.t) ->
+      let k =
+        (category_position r.Report.category * ncat)
+        + Corpus.Classifier.predict model (Corpus.Features.of_report r)
+      in
+      counts.(k) <- counts.(k) + 1)
+    reports;
+  { Corpus.Classifier.n = List.length reports; counts }
+
+let prop_classify_all_is_predict =
+  QCheck.Test.make ~name:"corpus: classify_all = predict of of_report, per report"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (_, rs) ->
+         String.concat "; "
+           (List.map (fun (r : Report.t) -> Printf.sprintf "%S %S" r.Report.title r.Report.date) rs))
+       QCheck.Gen.(pair gen_model (list_size (int_range 0 40) gen_report)))
+    (fun (model, reports) ->
+      Corpus.Classifier.classify_all model (fun f -> List.iter f reports)
+      = predict_each model reports)
 
 (* ---- store-backed sweeps ------------------------------------------ *)
 
@@ -385,7 +524,9 @@ let () =
        [ Alcotest.test_case "conservation, baseline, determinism" `Quick
            test_classifier_contract;
          Alcotest.test_case "chunk- and jobs-invariant" `Quick
-           test_classifier_chunk_and_jobs_invariant ]);
+           test_classifier_chunk_and_jobs_invariant;
+         QCheck_alcotest.to_alcotest prop_of_report_slots;
+         QCheck_alcotest.to_alcotest prop_classify_all_is_predict ]);
       ("store",
        [ Alcotest.test_case "warm sweep recomputes nothing" `Quick
            test_warm_sweep_incremental;
