@@ -49,8 +49,9 @@ val run :
   unit ->
   (t, Vulndb.Synth.error) result
 (** Classify a [total]-report corpus in [chunk]-sized pieces fanned
-    over the {!Par} pool.  At most one chunk of reports is resident
-    per worker. *)
+    over the {!Par} pool.  A chunk's reports stream one at a time
+    from {!Vulndb.Synth.chunk_iter} into
+    {!Classifier.classify_all}; no chunk is ever resident. *)
 
 val ok : t -> bool
 (** Conservation (every planned report classified exactly once) and
