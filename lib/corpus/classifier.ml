@@ -85,12 +85,12 @@ let classify_all model iter =
   let centroids = model.centroids in
   let row_d = Array.make (Features.rows * ncat) 0. in
   for row = 0 to Features.rows - 1 do
-    let v = Features.row row in
+    let slots = Features.row row in
     for i = 0 to ncat - 1 do
       let c = centroids.(i) in
       let d = ref 0. in
       for k = 0 to Features.row_dim - 1 do
-        let x = v.(k) -. c.(k) in
+        let x = slots.(k) -. c.(k) in
         d := !d +. (x *. x)
       done;
       row_d.((row * ncat) + i) <- !d
