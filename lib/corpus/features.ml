@@ -84,20 +84,15 @@ let is_digit c = c >= '0' && c <= '9'
 
 let digit s i = Char.code (String.unsafe_get s i) - Char.code '0'
 
-(* The year is the date's first four characters as an integer, counted
-   from 1998, or 0.  Four decimal digits, the only shape a generated
-   report has, are read in place; anything else goes through
-   [int_of_string_opt], which also reads signs, radix prefixes and
-   underscores. *)
+(* The year is the date's first four characters, when they are decimal
+   digits (a report's date is YYYY-MM-DD), counted from 1998; any other
+   date reads 0. *)
 let year_of (r : Report.t) =
   let d = r.Report.date in
-  if String.length d < 4 then 0
-  else if is_digit d.[0] && is_digit d.[1] && is_digit d.[2] && is_digit d.[3] then
-    (digit d 0 * 1000) + (digit d 1 * 100) + (digit d 2 * 10) + digit d 3 - 1998
-  else
-    match int_of_string_opt (String.sub d 0 4) with
-    | Some y -> y - 1998
-    | None -> 0
+  if String.length d >= 4 && is_digit d.[0] && is_digit d.[1] && is_digit d.[2]
+     && is_digit d.[3]
+  then (digit d 0 * 1000) + (digit d 1 * 100) + (digit d 2 * 10) + digit d 3 - 1998
+  else 0
 
 (* Words are maximal runs of non-space characters. *)
 let rec word_count s i n in_word =

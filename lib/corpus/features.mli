@@ -48,7 +48,10 @@ val row : int -> float array
 
 val set_tail : Vulndb.Report.t -> float array -> unit
 (** Write the report's tail into slots [\[row_dim, dim)] of a
-    [dim]-slot vector, leaving the other slots alone. *)
+    [dim]-slot vector, leaving the other slots alone: the title's
+    length, its word count (maximal runs of non-space characters) and
+    the year, the date's first four characters as a decimal number
+    less 1998, or 0 when they are not four decimal digits. *)
 
 val of_report : Vulndb.Report.t -> float array
 (** The feature vector, [row (row_of r)] then the tail; a pure

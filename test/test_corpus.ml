@@ -249,9 +249,7 @@ let gen_report =
       [ map
           (fun (y, m) -> Printf.sprintf "%04d-%02d-01" y m)
           (pair (int_range 0 9999) (int_range 1 12));
-        oneofl
-          [ ""; "199"; "2001"; "abcd-01-01"; "0x1F-01-01"; "-199-01-01"; "+200-01-01";
-            "1_99-01-01"; "0b11"; "0o17"; " 200"; "20 1" ];
+        oneofl [ ""; "199"; "2001"; "abcd-01-01"; "-199-01-01"; "0x1F-01-01"; " 200"; "20 1" ];
         string_size ~gen:printable (int_range 0 6) ]
   in
   map
@@ -307,11 +305,11 @@ let prop_of_report_slots =
     (fun (r : Report.t) ->
       let v = Corpus.Features.of_report r in
       let year =
-        if String.length r.Report.date < 4 then 0
-        else
-          match int_of_string_opt (String.sub r.Report.date 0 4) with
-          | Some y -> y - 1998
-          | None -> 0
+        let d = r.Report.date in
+        if String.length d >= 4
+           && String.for_all (fun c -> '0' <= c && c <= '9') (String.sub d 0 4)
+        then int_of_string (String.sub d 0 4) - 1998
+        else 0
       in
       let words =
         List.length (List.filter (( <> ) "") (String.split_on_char ' ' r.Report.title))
@@ -327,6 +325,8 @@ let prop_of_report_slots =
       && v.(slot "title_words") = float_of_int words
       && v.(slot "year") = float_of_int year)
 
+(* The truth index found by searching [Category.all], so the property
+   also checks [Category.index], which [classify_all] uses. *)
 let category_position c =
   let rec go i = function
     | [] -> assert false
