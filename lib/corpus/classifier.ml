@@ -4,21 +4,6 @@ let categories = Array.of_list Category.all
 
 let ncat = Array.length categories
 
-(* The position in [Category.all]. *)
-let category_index = function
-  | Category.Access_validation_error -> 0
-  | Category.Atomicity_error -> 1
-  | Category.Boundary_condition_error -> 2
-  | Category.Configuration_error -> 3
-  | Category.Design_error -> 4
-  | Category.Environment_error -> 5
-  | Category.Failure_to_handle_exceptional_conditions -> 6
-  | Category.Input_validation_error -> 7
-  | Category.Origin_validation_error -> 8
-  | Category.Race_condition_error -> 9
-  | Category.Serialization_error -> 10
-  | Category.Unknown -> 11
-
 type model = { centroids : float array array }
 
 let train seq =
@@ -26,7 +11,7 @@ let train seq =
   let counts = Array.make ncat 0 in
   Seq.iter
     (fun (category, v) ->
-      let i = category_index category in
+      let i = Category.index category in
       counts.(i) <- counts.(i) + 1;
       let s = sums.(i) in
       for k = 0 to Features.dim - 1 do
@@ -115,7 +100,7 @@ let classify_all model iter =
           best_d := !d
         end
       done;
-      let k = (category_index r.Vulndb.Report.category * ncat) + !best in
+      let k = (Category.index r.Vulndb.Report.category * ncat) + !best in
       counts.(k) <- counts.(k) + 1;
       incr n);
   { n = !n; counts }

@@ -18,6 +18,20 @@ let all =
     Failure_to_handle_exceptional_conditions; Input_validation_error;
     Origin_validation_error; Race_condition_error; Serialization_error; Unknown ]
 
+let index = function
+  | Access_validation_error -> 0
+  | Atomicity_error -> 1
+  | Boundary_condition_error -> 2
+  | Configuration_error -> 3
+  | Design_error -> 4
+  | Environment_error -> 5
+  | Failure_to_handle_exceptional_conditions -> 6
+  | Input_validation_error -> 7
+  | Origin_validation_error -> 8
+  | Race_condition_error -> 9
+  | Serialization_error -> 10
+  | Unknown -> 11
+
 let to_string = function
   | Access_validation_error -> "Access Validation Error"
   | Atomicity_error -> "Atomicity Error"

@@ -18,6 +18,9 @@ type t =
 
 val all : t list
 
+val index : t -> int
+(** The category's position in {!all}. *)
+
 val to_string : t -> string
 
 val of_string : string -> t option

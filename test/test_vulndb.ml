@@ -69,6 +69,9 @@ let test_category_string_roundtrip () =
 let test_category_twelve_classes () =
   Alcotest.(check int) "12 classes" 12 (List.length C.all)
 
+let test_category_index_is_position () =
+  List.iteri (fun i c -> Alcotest.(check int) (C.to_string c) i (C.index c)) C.all
+
 (* ---- report ------------------------------------------------------ *)
 
 let test_report_family () =
@@ -223,7 +226,9 @@ let () =
            test_category_percent_consistent;
          Alcotest.test_case "top five" `Quick test_category_top_five;
          Alcotest.test_case "string roundtrip" `Quick test_category_string_roundtrip;
-         Alcotest.test_case "twelve classes" `Quick test_category_twelve_classes ]);
+         Alcotest.test_case "twelve classes" `Quick test_category_twelve_classes;
+         Alcotest.test_case "index is the position in all" `Quick
+           test_category_index_is_position ]);
       ("report", [ Alcotest.test_case "studied family" `Quick test_report_family ]);
       ("database",
        [ Alcotest.test_case "add/find" `Quick test_database_add_find;
