@@ -982,7 +982,11 @@ let obs_bench () =
    time; p50/p99 per-request latency is over *virtual* time
    (completion tick minus admission tick), so the latency numbers are
    a pure function of the script and must agree at every job count —
-   as must the whole response stream, byte for byte. *)
+   as must the whole response stream, byte for byte.  The script
+   holds 10 distinct requests, all sent within its first two waves,
+   so each run computes 10 requests and answers the other 110 from
+   the server's response memo: past the first waves the leg times
+   memo hits, not handlers. *)
 let serve_bench () =
   section "SERVE -- supervised request loop (req/s, latency over virtual time)";
   let module S = Serve.Server in

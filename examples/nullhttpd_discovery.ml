@@ -12,7 +12,9 @@ let () =
   let content_len, body = Exploit.Attack.nullhttpd_5774 v05 in
   Format.printf "POST with Content-Length: %d and a %d-byte body@." content_len
     (String.length body);
-  Format.printf "  (%s)@." Exploit.Attack.fake_chunk_note;
+  Format.printf
+    "  (B->fd = &addr_free - (offset of field bk); B->bk = Mcode; the unlink \
+     B->fd->bk = B->bk then writes Mcode over the GOT entry of free())@.";
   Format.printf "  -> %a@." Apps.Outcome.pp
     (Apps.Nullhttpd.handle_post v05 ~content_len ~body);
 

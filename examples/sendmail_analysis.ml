@@ -52,4 +52,8 @@ let () =
 
   banner "the lemma, mechanically";
   let checks = Pfsm.Lemma.sufficiency model ~scenarios:[ scenario ] in
-  Format.printf "%a@." Pfsm.Pretty.pp_lemma_checks checks
+  List.iter
+    (fun (c : Pfsm.Lemma.check) ->
+       Format.printf "secure %-40s => exploit %s@." c.op_name
+         (if c.foiled then "FOILED" else "still succeeds (!)"))
+    checks

@@ -70,13 +70,4 @@ let pp_matrix ppf matrix =
     matrix;
   Format.fprintf ppf "@]"
 
-let pp_lemma_checks ppf checks =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun (c : Lemma.check) ->
-       Format.fprintf ppf "secure %-40s => exploit %s@," c.Lemma.op_name
-         (if c.Lemma.foiled then "FOILED" else "still succeeds (!)"))
-    checks;
-  Format.fprintf ppf "@]"
-
 let model_to_string m = Format.asprintf "%a" pp_model m

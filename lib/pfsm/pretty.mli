@@ -1,5 +1,5 @@
-(** Textual rendering of models, analyses and lemma checks — the
-    console counterpart of the paper's figures and tables. *)
+(** Textual rendering of models and analyses — the console
+    counterpart of the paper's figures and tables. *)
 
 val pp_pfsm : Format.formatter -> Primitive.t -> unit
 
@@ -14,7 +14,5 @@ val pp_report : Format.formatter -> Analysis.report -> unit
 val pp_matrix :
   Format.formatter -> (Taxonomy.kind * (string * Primitive.t) list) list -> unit
 (** One model's Table-2 row set. *)
-
-val pp_lemma_checks : Format.formatter -> Lemma.check list -> unit
 
 val model_to_string : Model.t -> string

@@ -38,5 +38,3 @@ let as_int = function Int n -> n | v -> wrong "int" v
 let as_str = function Str s -> s | v -> wrong "string" v
 
 let as_addr = function Addr a -> a | v -> wrong "address" v
-
-let as_bool = function Bool b -> b | v -> wrong "bool" v

@@ -27,5 +27,3 @@ val as_int : t -> int
 val as_str : t -> string
 
 val as_addr : t -> int
-
-val as_bool : t -> bool

@@ -80,9 +80,14 @@ let exploit ~spend app =
       ("rows", Json.Int (List.length rows));
       ("ok", Json.Bool (Exploit.Driver.rows_ok rows)) ]
 
+(* Only the simulation plans: a disk plan perturbs [Store.Io], so run
+   here it would tear the server's own store.  [chaos --disk] runs
+   those on a scratch store. *)
 let chaos ~spend plan_name =
   match Fault.Catalog.find plan_name with
   | None -> reject "unknown fault plan: %s" plan_name
+  | Some plan when List.memq plan Fault.Catalog.disk ->
+      reject "disk fault plan %s is not served: run it with chaos --disk" plan_name
   | Some plan ->
       let injector = Fault.Injector.create plan in
       let results =
@@ -125,6 +130,10 @@ let boom ~attempt ~spend mode times =
           [ ("boom", Json.Str "survived"); ("attempt", Json.Int attempt) ]
   | other -> reject "unknown boom mode: %s" other
 
+let memoizable : Protocol.work -> bool = function
+  | Lint _ | Analyze _ | Exploit _ -> true
+  | Chaos _ | Boom _ -> false
+
 let run ~attempt ~fuel work =
   let d = Resilience.Deadline.of_fuel (max 1 fuel) in
   let spend n = if not (Resilience.Deadline.spend d n) then raise_notrace Out_of_fuel in
@@ -140,3 +149,9 @@ let run ~attempt ~fuel work =
   | exception Out_of_fuel ->
       let spent = Resilience.Deadline.used d in
       (Deadline_hit { spent }, spent)
+
+(* [run]'s deadline, for a handler that spends [units] one at a time:
+   they all fit, or the first [max 1 fuel] do. *)
+let replay ~fuel ~units payload =
+  let fuel = max 1 fuel in
+  if units <= fuel then (Done payload, units) else (Deadline_hit { spent = fuel }, fuel)

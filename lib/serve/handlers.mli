@@ -12,9 +12,16 @@
     request spends one up front and one before each row).  Exhaustion
     is a typed {!outcome}, not an exception — the scheduler maps it
     to a [deadline] response.  Bad arguments (an unknown app,
-    variant or plan) raise {!Resilience.Quarantine.Reject};
-    anything else that escapes is a crash and quarantines the
-    request. *)
+    variant or plan, or a {!Fault.Catalog.disk} plan, which would
+    tear the server's own store) raise
+    {!Resilience.Quarantine.Reject}; anything else that escapes is a
+    crash and quarantines the request.
+
+    The server memoizes [lint], [analyze] and [exploit]: without an
+    injector their result, and the units they spend, do not depend on
+    the attempt, so a repeated request is answered by {!replay}.
+    [boom fault] depends on the attempt by design, and [chaos]
+    installs an injector of its own, so neither is memoized. *)
 
 type outcome =
   | Done of Json.t
@@ -32,3 +39,12 @@ val run : attempt:int -> fuel:int -> Protocol.work -> outcome * int
 (** Execute one attempt of a work request under [fuel]; the [int] is
     the fuel actually spent (the scheduler advances virtual time by
     it). *)
+
+val memoizable : Protocol.work -> bool
+(** [lint], [analyze] and [exploit]. *)
+
+val replay : fuel:int -> units:int -> Json.t -> outcome * int
+(** What {!run} gives under [fuel] for a memoizable request whose
+    [Done payload] spent [units]: those units spent one at a time
+    against [max 1 fuel], so the outcome and the spend are the same
+    as a recomputation's. *)

@@ -23,7 +23,9 @@ type work =
           whole sweep *)
   | Analyze of { app : string }
   | Exploit of { app : string }
-  | Chaos of { plan : string }  (** a {!Fault.Catalog} plan name *)
+  | Chaos of { plan : string }
+      (** a {!Fault.Catalog.all} plan name (the handler rejects a
+          {!Fault.Catalog.disk} one) *)
   | Boom of { mode : string; times : int }
       (** testing aid: [crash] raises, [reject] raises
           {!Resilience.Quarantine.Reject}, [fault] hits a simulated

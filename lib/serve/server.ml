@@ -107,6 +107,7 @@ let m_quarantined = Obs.Metrics.counter "serve.quarantined"
 let m_malformed = Obs.Metrics.counter "serve.malformed"
 let m_batches = Obs.Metrics.counter "serve.batches"
 let m_latency = Obs.Metrics.histogram "serve.latency"
+let m_memo_hits = Obs.Metrics.counter "serve.memo.hits"
 
 (* ---- the loop ----------------------------------------------------- *)
 
@@ -144,6 +145,11 @@ let run ?(config = default_config) ~emit source =
   let max_attempts = ref 0 in
   let waited = ref 0 in
   let breakers = R.Breaker.table config.breaker in
+  (* A memoizable work item -> the payload and fuel units of its first
+     [Done]: at most one entry per lint target and per application and
+     verb.  Read and written only while no injector is installed. *)
+  let memo : (Protocol.work, Json.t * int) Hashtbl.t = Hashtbl.create 32 in
+  let memo_on () = Fault.Hooks.current () = None in
   let respond (r : Protocol.response) =
     (match r.Protocol.status with
      | Protocol.Ok_ -> incr completed
@@ -159,7 +165,12 @@ let run ?(config = default_config) ~emit source =
         [ ("id", p.p_id); ("class", Protocol.work_class p.p_work);
           ("attempt", string_of_int attempt) ]
       ("request:" ^ p.p_id)
-      (fun () -> Handlers.run ~attempt ~fuel:p.p_fuel p.p_work)
+      (fun () ->
+        match if memo_on () then Hashtbl.find_opt memo p.p_work else None with
+        | Some (payload, units) ->
+            Obs.Metrics.incr m_memo_hits;
+            Handlers.replay ~fuel:p.p_fuel ~units payload
+        | None -> Handlers.run ~attempt ~fuel:p.p_fuel p.p_work)
   in
   (* One request through the retry engine.  [speculated] yields the
      batch's speculative first attempt, or runs it. *)
@@ -211,6 +222,8 @@ let run ?(config = default_config) ~emit source =
     max_attempts := max !max_attempts attempts;
     match outcome with
     | Ok ((Handlers.Done payload, spent), _) ->
+        if memo_on () && Handlers.memoizable p.p_work && not (Hashtbl.mem memo p.p_work)
+        then Hashtbl.add memo p.p_work (payload, spent);
         vt := !vt + spent;
         let latency = !vt - p.p_arrived in
         latency_counts :=
@@ -236,23 +249,41 @@ let run ?(config = default_config) ~emit source =
   in
   (* One batch: speculate first attempts on the pool, then replay the
      requests sequentially in admission order, owning the clock, the
-     breakers and the response stream.  Speculation is skipped under an
-     active injector (event stream must stay sequential) and under an
-     ambient store: sequential-only attempts give every request a
-     well-defined store delta, which is what makes [store_degraded] and
-     the summary's store stats deterministic at every -j. *)
+     breakers, the memo and the response stream.  Speculation is
+     skipped under an active injector (event stream must stay
+     sequential) and under an ambient store: sequential-only attempts
+     give every request a well-defined store delta, which is what makes
+     [store_degraded] and the summary's store stats deterministic at
+     every -j.  Only what the replay would compute is speculated: not
+     a memoizable request whose item is in the memo or earlier in the
+     batch (the replay answers it from the entry the first one leaves),
+     so the same requests compute at every -j, with or without a
+     store. *)
   let process_batch () =
     match Admission.drain queue with
     | [] -> ()
     | items ->
         incr batches;
         Obs.Metrics.incr m_batches;
+        let misses () =
+          let first = Hashtbl.create 8 in
+          List.filter
+            (fun (_, p) ->
+              (not (Handlers.memoizable p.p_work))
+              || not (Hashtbl.mem memo p.p_work || Hashtbl.mem first p.p_work)
+                 && (Hashtbl.add first p.p_work (); true))
+            (List.mapi (fun i p -> (i, p)) items)
+        in
         let speculated =
-          if Fault.Hooks.current () = None && Store.Handle.get () = None then
-            R.Supervisor.speculate ~label:"serve.batch"
-              (fun p -> invoke_handler p ~attempt:1)
-              (List.mapi (fun i p -> (i, p)) items)
-          else fun _ fallback -> fallback ()
+          match
+            if Fault.Hooks.current () = None && Store.Handle.get () = None then misses ()
+            else []
+          with
+          | [] -> fun _ fallback -> fallback ()
+          | keyed ->
+              R.Supervisor.speculate ~label:"serve.batch"
+                (fun p -> invoke_handler p ~attempt:1)
+                keyed
         in
         List.iteri (fun i p -> supervise p ~speculated:(speculated i)) items
   in

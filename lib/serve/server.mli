@@ -31,7 +31,16 @@
     (clock, breakers, responses).  Speculation runs at every [-j] so
     traced spans land at the same coordinates for every job count; it
     is skipped under an active fault injector (its PRNG stream is
-    order-sensitive) and under a store. *)
+    order-sensitive) and under a store.
+
+    A run memoizes its [lint], [analyze] and [exploit] answers
+    ({!Handlers.memoizable}): the first [Done] of a work item leaves
+    its payload and fuel units in a table of at most 22 entries, and a
+    later request for the item is answered by {!Handlers.replay}
+    against its own fuel, byte-identically to a recomputation.  A
+    batch speculates only the requests the replay will compute, the
+    replay alone writes the table, and the table is bypassed while a
+    fault injector is installed.  Hits count in [serve.memo.hits]. *)
 
 type config = {
   capacity : int;      (** admission queue bound *)
@@ -67,7 +76,9 @@ type summary = {
   store : Store.Disk.stats option;
       (** this run's delta against the ambient persistent store, when
           the CLI installed one ([None] otherwise — the summary JSON
-          then renders byte-identically to the store-less format) *)
+          then renders byte-identically to the store-less format); a
+          request answered from the memo reads nothing, so these
+          count first-time requests only *)
   store_degraded : int;
       (** requests that hit store corruption or a failed store write
           during some attempt and completed by recompute instead;

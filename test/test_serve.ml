@@ -498,6 +498,123 @@ let test_retry_attempts_metric () =
   Alcotest.(check int) "one retry attempt per backoff" backoffs
     (Obs.Metrics.counter_value attempts - before)
 
+(* The 22 work items the server memoizes: every corpus variant and the
+   whole corpus, and each application for analyze and exploit. *)
+let memo_items =
+  List.map (fun (target, _) -> P.Lint { target }) Minic.Corpus.all
+  @ [ P.Lint { target = "corpus" } ]
+  @ List.concat_map
+      (fun (a : Exploit.Table.app) -> [ P.Analyze { app = a.name }; P.Exploit { app = a.name } ])
+      Exploit.Table.apps
+
+let work_fields = function
+  | P.Lint { target } -> Printf.sprintf {|"kind":"lint","target":"%s"|} target
+  | P.Analyze { app } -> Printf.sprintf {|"kind":"analyze","app":"%s"|} app
+  | P.Exploit { app } -> Printf.sprintf {|"kind":"exploit","app":"%s"|} app
+  | _ -> invalid_arg "work_fields"
+
+(* Three rounds of every memoized item, each sent with no fuel and
+   with fuel 1, 3 and 64, so one item repeats within a batch and
+   across batches, as a hit that completes and as one that runs out
+   of fuel.  Every flush batch also holds an unknown application and
+   a [boom fault] that succeeds at its second attempt. *)
+let memo_script =
+  let requests =
+    List.concat_map
+      (fun round ->
+         List.concat_map
+           (fun work ->
+              List.map
+                (fun fuel -> (round, work, fuel))
+                [ None; Some 1; Some 3; Some 64 ])
+           memo_items)
+      [ 1; 2; 3 ]
+  in
+  let line i (round, work, fuel) =
+    Printf.sprintf {|{"id":"r%d-%d",%s%s}|} round i (work_fields work)
+      (match fuel with None -> "" | Some f -> Printf.sprintf {|,"fuel":%d|} f)
+  in
+  List.concat
+    (List.mapi
+       (fun i r ->
+          line i r
+          :: (if i mod 14 = 13 then
+                [ Printf.sprintf {|{"id":"u%d","kind":"analyze","app":"nosuch"}|} i;
+                  Printf.sprintf {|{"id":"f%d","kind":"boom","mode":"fault","times":1}|} i;
+                  {|{"kind":"flush"}|} ]
+              else []))
+       requests)
+  @ [ {|{"id":"s1","kind":"stats"}|}; {|{"kind":"shutdown"}|} ]
+
+(* A repeated request is answered from the memo, and no client can
+   tell: the stream equals the one computed under an installed no-op
+   injector, the path with neither memo nor speculation, at -j 1 and
+   -j 2, and every request of an item after its first is a hit. *)
+let test_memo_differential () =
+  let hits = Obs.Metrics.counter "serve.memo.hits" in
+  let run ~memo j =
+    let before = Obs.Metrics.counter_value hits in
+    let lines, s =
+      with_jobs j (fun () ->
+          if memo then run_with memo_script
+          else
+            Fault.Hooks.with_injector (Fault.Injector.create Fault.Plan.none)
+              (fun () -> run_with memo_script))
+    in
+    Alcotest.(check bool) "accounted" true (S.accounted s);
+    Alcotest.(check int) "nothing shed" 0 s.S.shed;
+    (lines, Obs.Metrics.counter_value hits - before)
+  in
+  let reference, no_hits = run ~memo:false 1 in
+  Alcotest.(check int) "no hit under an injector" 0 no_hits;
+  let repeats = (3 * 4 * List.length memo_items) - List.length memo_items in
+  List.iter
+    (fun (memo, j) ->
+       let lines, n = run ~memo j in
+       Alcotest.(check (list string))
+         (Printf.sprintf "memo %b at -j %d = no memo at -j 1" memo j)
+         reference lines;
+       Alcotest.(check int) "hits" (if memo then repeats else 0) n)
+    [ (false, 2); (true, 1); (true, 2) ];
+  let count status = List.length (List.filter (fun l -> status_of l = status) reference) in
+  Alcotest.(check bool) "hits that complete and hits that run out of fuel" true
+    (count "ok" > List.length memo_items && count "deadline" > 0)
+
+(* The handler [chaos] runs its plan's injector around the simulation
+   legs; a disk plan there would perturb the server's own store writes.
+   It is a typed error, and the store stays clean. *)
+let test_chaos_disk_plan () =
+  let dir = Filename.temp_file "dfsm-serve" ".d" in
+  Sys.remove dir;
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let store = Store.Disk.open_ ~dir in
+  let lines, _ =
+    Store.Handle.with_store (Some store) (fun () ->
+        run_with
+          (List.map
+             (fun (plan : Fault.Plan.t) ->
+                Printf.sprintf {|{"id":"%s","kind":"chaos","plan":"%s"}|} plan.name plan.name)
+             Fault.Catalog.disk
+           @ [ {|{"kind":"shutdown"}|} ]))
+  in
+  List.iter
+    (fun (plan : Fault.Plan.t) ->
+       match List.find_opt (fun l -> id_of l = plan.name) lines with
+       | Some l -> Alcotest.(check string) (plan.name ^ " is refused") "error" (status_of l)
+       | None -> Alcotest.failf "no response for %s" plan.name)
+    Fault.Catalog.disk;
+  let report = Store.Fsck.scan store in
+  Alcotest.(check int) "no torn record" 0 report.Store.Fsck.torn;
+  Alcotest.(check bool) "fsck: clean" true (Store.Fsck.clean report)
+
 (* ---- handlers ----------------------------------------------------- *)
 
 (* An exploit request spends one unit of fuel before each row, so an
@@ -521,6 +638,26 @@ let test_exploit_fuel () =
        starved_bytes full_bytes)
     true
     (starved_bytes < full_bytes /. 2.)
+
+(* What the memo rests on: a memoized handler's outcome and spend do
+   not depend on the attempt, and [replay] of its first [Done] gives
+   what [run] gives at every fuel. *)
+let test_memo_contract () =
+  List.iter
+    (fun work ->
+       let name = work_fields work in
+       let outcome, units = Serve.Handlers.run ~attempt:1 ~fuel:64 work in
+       Alcotest.(check bool) (name ^ ": attempt 3 = attempt 1") true
+         (Serve.Handlers.run ~attempt:3 ~fuel:64 work = (outcome, units));
+       match outcome with
+       | Serve.Handlers.Deadline_hit _ -> Alcotest.failf "%s: fuel 64 hit its deadline" name
+       | Serve.Handlers.Done payload ->
+           for fuel = -1 to units + 1 do
+             Alcotest.(check bool) (Printf.sprintf "%s: replay at fuel %d" name fuel) true
+               (Serve.Handlers.replay ~fuel ~units payload
+                = Serve.Handlers.run ~attempt:1 ~fuel work)
+           done)
+    memo_items
 
 (* ---- flat memory over a long run --------------------------------- *)
 
@@ -634,10 +771,14 @@ let () =
          Alcotest.test_case "percentiles" `Quick test_latency_percentiles;
          QCheck_alcotest.to_alcotest prop_percentile_table;
          Alcotest.test_case "backoffs count as retry attempts" `Quick
-           test_retry_attempts_metric ]);
+           test_retry_attempts_metric;
+         Alcotest.test_case "memo: same stream as the injector path" `Quick
+           test_memo_differential;
+         Alcotest.test_case "chaos refuses a disk plan" `Quick test_chaos_disk_plan ]);
       ("handlers",
        [ Alcotest.test_case "exploit spends fuel before each row" `Quick
-           test_exploit_fuel ]);
+           test_exploit_fuel;
+         Alcotest.test_case "memoized handlers replay" `Quick test_memo_contract ]);
       ("soak",
        [ Alcotest.test_case "smoke contract" `Quick test_soak_smoke;
          Alcotest.test_case "flat memory over 20k requests" `Quick
