@@ -15,8 +15,6 @@ type t
 
 val setup : ?config:config -> unit -> t
 
-val scripts_root : string
-
 val handle_request : t -> string -> Outcome.t
 (** Process one CGI request path (URL-encoded, relative to
     [/wwwroot/scripts]). *)

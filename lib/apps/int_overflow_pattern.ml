@@ -19,6 +19,7 @@ let bugtraq_example = function
   | Index_array -> 5493
   | Execute_reference -> 3958
 
+(* The canonical table size. *)
 let array_length = 100
 
 let pfsm_name = function

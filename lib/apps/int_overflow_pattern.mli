@@ -25,9 +25,6 @@ val category_assigned : activity -> Vulndb.Category.t
 val bugtraq_example : activity -> int
 (** The Table-1 report filed at this activity (#3163/#5493/#3958). *)
 
-val array_length : int
-(** 100 — the canonical table size. *)
-
 val model : unit -> Pfsm.Model.t
 (** The generic chain, assembled from {!Pfsm.Checks}. Scenario key:
     ["input.str"]. *)

@@ -22,8 +22,6 @@ val setup : ?config:config -> unit -> t
 
 val fs : t -> Osmodel.Filesystem.t
 
-val utmp_path : string
-
 val attacker : Osmodel.User.t
 
 val add_utmp_entry : t -> as_user:Osmodel.User.t -> string -> Outcome.t
@@ -49,8 +47,6 @@ type race_config = {
 }
 
 type race_state
-
-val pts_path : string
 
 val race_fresh : unit -> race_state
 

@@ -14,10 +14,6 @@ type config = { open_nofollow : bool (** protection: refuse to open a symlink *)
 
 type state
 
-val log_file : string
-
-val target_file : string
-
 val tom : Osmodel.User.t
 
 val fresh_state : unit -> state

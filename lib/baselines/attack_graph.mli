@@ -54,8 +54,6 @@ val agrees_with_lemma : t -> bool
 (** Exploit reachable implies a hidden cut of size 1 exists — the
     attack-graph rendering of the paper's lemma for serial chains. *)
 
-val node_label : node -> string
-
 val pp : Format.formatter -> t -> unit
 
 val to_dot : t -> string

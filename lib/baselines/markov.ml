@@ -133,6 +133,12 @@ let metf t =
 
 (* ------------------------------------------------------------------ *)
 
+(* A chain over the trace's steps.  A hidden step is an obstacle the
+   attacker probes with per-attempt success probability [retry]
+   (geometric retries, one effort unit each); a spec-accepted step
+   passes deterministically for one unit; a rejecting step has
+   probability 0, so METF becomes infinite ([metf] = [None]).  The
+   chain ends in the compromised state when the trace completed. *)
 let of_trace ~retry trace =
   if retry <= 0.0 || retry > 1.0 then invalid_arg "Markov.of_trace: bad retry";
   let steps = trace.Pfsm.Trace.steps in

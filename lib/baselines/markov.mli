@@ -41,17 +41,10 @@ val solve_linear : float array array -> float array -> float array option
 
 (** {2 Derivation from pFSM models} *)
 
-val of_trace : retry:float -> Pfsm.Trace.t -> t
-(** Chain over the trace's steps.  A hidden step is an obstacle the
-    attacker probes with per-attempt success probability [retry]
-    (geometric retries, one effort unit each); a spec-accepted step
-    passes deterministically for one unit; a rejecting step has
-    probability 0 — METF becomes infinite, i.e. {!metf} = [None].
-    The chain ends in the compromised state when the trace
-    completed. *)
-
 val metf_of_model : retry:float -> Pfsm.Model.t -> scenario:Pfsm.Env.t -> float option
-(** Build {!of_trace} from a run and compute METF.  On the paper's
+(** Run the model on [scenario], build the chain over the run's steps
+    (a hidden step is a geometric retry with per-attempt success
+    probability [retry]) and compute METF.  On the paper's
     models: finite for every vulnerable configuration, [None] as soon
     as any single operation is secured — the lemma seen through
     Ortalo's metric. *)

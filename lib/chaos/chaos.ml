@@ -140,28 +140,6 @@ let violations r =
     (fun pr -> List.concat_map (leg_violations r.retry_max pr) pr.legs)
     r.runs
 
-let no_lost_items r =
-  List.for_all
-    (fun pr ->
-       List.for_all
-         (fun l ->
-           match l.outcome with
-           | Failed _ -> false  (* every item of a failed leg is lost *)
-           | Ran report -> Run_report.no_lost ~expected:l.expected_items report)
-         pr.legs)
-    r.runs
-
-let bounded_retries r =
-  List.for_all
-    (fun pr ->
-       List.for_all
-         (fun l ->
-           match l.outcome with
-           | Failed _ -> true  (* nothing ran, nothing retried *)
-           | Ran report -> Run_report.max_attempts report <= r.retry_max)
-         pr.legs)
-    r.runs
-
 let ok r = violations r = []
 
 let leg_to_json l =

@@ -37,7 +37,7 @@ type plan_run = {
 
 type report = {
   seed : int;
-  retry_max : int;  (** the policy's attempt ceiling, for {!bounded_retries} *)
+  retry_max : int;  (** the policy's attempt ceiling, for {!violations} *)
   runs : plan_run list;
   memo : Pfsm.Analysis.memo_stats;
       (** analysis-memo counters for this run (the memo is reset when
@@ -62,10 +62,6 @@ val run :
     document (default: the curated database rendered to CSV) — a
     document that fails to parse yields a [Failed] ingest leg, never
     an exception. *)
-
-val no_lost_items : report -> bool
-
-val bounded_retries : report -> bool
 
 val violations : report -> string list
 (** Human-readable contract violations; empty iff {!ok}. *)
@@ -108,9 +104,6 @@ type soak_report = {
   soak_runs : soak_run list;
 }
 
-val soak_script : unit -> string list
-(** The canned request script (shared with tests and the CLI). *)
-
 val soak :
   ?seed:int ->
   ?plans:Fault.Plan.t list ->
@@ -123,9 +116,8 @@ val soak :
     from [seed] and the plan name. *)
 
 val soak_violations : soak_report -> string list
-(** Human-readable contract violations; empty iff {!soak_ok}. *)
-
-val soak_ok : soak_report -> bool
+(** Human-readable contract violations; empty iff the JSON reads
+    ["ok": true]. *)
 
 val soak_stable : ?seed:int -> ?plans:Fault.Plan.t list -> unit -> bool
 (** Run twice; byte-compare the JSON. *)
@@ -166,9 +158,8 @@ val disk : ?plans:Fault.Plan.t list -> unit -> disk_report
     before returning. *)
 
 val disk_violations : disk_report -> string list
-(** Human-readable contract violations; empty iff {!disk_ok}. *)
-
-val disk_ok : disk_report -> bool
+(** Human-readable contract violations; empty iff the JSON reads
+    ["ok": true]. *)
 
 val disk_to_json : disk_report -> string
 

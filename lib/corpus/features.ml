@@ -13,6 +13,9 @@ let dim = Array.length names
 
 let model_dim = 8
 
+(* The app or pattern model standing in for a flaw mechanism.
+   [Other_flaw] has no modelled structure: its model features are
+   zero. *)
 let model_of_flaw = function
   | Report.Stack_buffer_overflow -> Some (Apps.Buffer_overflow_pattern.model ())
   | Report.Heap_overflow -> Some (Apps.Nullhttpd.model (Apps.Nullhttpd.setup ()))

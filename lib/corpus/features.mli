@@ -24,14 +24,6 @@ val dim : int
 val names : string array
 (** Feature names, index-aligned with the vectors ([dim] entries). *)
 
-val model_of_flaw : Vulndb.Report.flaw -> Pfsm.Model.t option
-(** The app or pattern model standing in for a flaw mechanism:
-    stack overflow → the Section-3.2 buffer-overflow pattern, heap
-    overflow → Null HTTPD, integer overflow → the sendmail-family
-    pattern, format string → the *printf pattern, file race → xterm,
-    path traversal → IIS.  [None] for [Other_flaw] (no modelled
-    structure; its model features are zero). *)
-
 val row_dim : int
 (** Slots [\[0, row_dim)] of a vector are its row. *)
 

@@ -14,8 +14,6 @@ type t = {
   suggested_check : string;   (** where/what to fix *)
 }
 
-val severity_to_string : severity -> string
-
 val pp : Format.formatter -> t -> unit
 
 val to_report : t -> string

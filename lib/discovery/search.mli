@@ -23,6 +23,4 @@ val hidden_paths :
     order — so growing the budget never loses a previously found
     hit). *)
 
-val findings_of_hits : model:Pfsm.Model.t -> hit list -> Finding.t list
-
 val discover : Pfsm.Model.t -> scenarios:Pfsm.Env.t list -> Finding.t list

@@ -18,6 +18,7 @@ let fs_chaos =
   { Plan.none with
     name = "fs-chaos"; seed = 105; benign = false; fs_deny_percent = Some 55 }
 
+(* Schedules lose or replay a step. *)
 let sched_chaos =
   { Plan.none with
     name = "sched-chaos"; seed = 106; benign = false;
@@ -43,18 +44,23 @@ let smoke = [ none; short_recv; heap_pressure ]
    part of [all] — these knobs only perturb [Store.Io], so running
    them through the simulation legs would be a no-op.  They never
    change computed values, only durability, hence [benign]. *)
+(* 45% of store writes reach disk truncated. *)
 let disk_torn =
   { Plan.none with name = "disk-torn"; seed = 109; io_torn_percent = Some 45 }
 
+(* 45% of store writes land with one bit flipped. *)
 let disk_flip =
   { Plan.none with name = "disk-flip"; seed = 110; io_flip_percent = Some 45 }
 
+(* 45% of store writes fail outright (ENOSPC/EACCES). *)
 let disk_full =
   { Plan.none with name = "disk-full"; seed = 111; io_error_percent = Some 45 }
 
+(* 45% of store commits die before their rename (orphan tmp). *)
 let disk_crash =
   { Plan.none with name = "disk-crash"; seed = 112; io_crash_percent = Some 45 }
 
+(* All four store-I/O faults at lower rates. *)
 let disk_mixed =
   { Plan.none with
     name = "disk-mixed"; seed = 113;

@@ -9,9 +9,6 @@
 
 val none : Plan.t
 
-val mtu_recv : Plan.t
-(** Benign: fragment at the read loops' own 1024-byte chunk size. *)
-
 val short_recv : Plan.t
 (** 7-byte [recv] chunks: short and fragmented reads. *)
 
@@ -20,9 +17,6 @@ val heap_pressure : Plan.t
 
 val fs_chaos : Plan.t
 (** 55% of paths answer EACCES (deterministically per path). *)
-
-val sched_chaos : Plan.t
-(** Schedules lose or replay a step. *)
 
 val bitflip : Plan.t
 (** 70% of bulk memory writes have one bit flipped. *)
@@ -34,21 +28,6 @@ val all : Plan.t list
 
 val smoke : Plan.t list
 (** A three-plan subset for CI. *)
-
-val disk_torn : Plan.t
-(** 45% of store writes reach disk truncated. *)
-
-val disk_flip : Plan.t
-(** 45% of store writes land with one bit flipped. *)
-
-val disk_full : Plan.t
-(** 45% of store writes fail outright (ENOSPC/EACCES). *)
-
-val disk_crash : Plan.t
-(** 45% of store commits die before their rename (orphan tmp). *)
-
-val disk_mixed : Plan.t
-(** All four store-I/O faults at lower rates. *)
 
 val disk : Plan.t list
 (** The store-I/O fault catalog (disjoint from {!all}): replayed by

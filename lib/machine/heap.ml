@@ -159,6 +159,8 @@ let calloc t ~count ~size =
       Memory.fill t.mem user bytes '\000';
       Some user
 
+(* The physically following chunk, if still inside the allocated
+   area. *)
 let next_chunk t ~chunk =
   let next = chunk + chunk_size t ~chunk in
   if next >= chunk + min_chunk && next + min_chunk <= t.top then Some next else None

@@ -73,8 +73,6 @@ val request_size : int -> int
 
 val chunk_of_user : Addr.t -> Addr.t
 
-val user_of_chunk : Addr.t -> Addr.t
-
 val fd_addr : chunk:Addr.t -> Addr.t
 (** Address of the [fd] field of a (free) chunk. *)
 
@@ -86,12 +84,7 @@ val bk_field_offset : int
 
 val chunk_size : t -> chunk:Addr.t -> int
 
-val is_in_use : t -> chunk:Addr.t -> bool
-
 val usable_size : t -> user:Addr.t -> int
-
-val next_chunk : t -> chunk:Addr.t -> Addr.t option
-(** Physically following chunk, if still inside the allocated area. *)
 
 val free_list : t -> Addr.t list
 (** Chunks currently on the (in-memory) free list, excluding the bin

@@ -51,8 +51,6 @@ type func = {
   body : stmt list;
 }
 
-val pp_expr : Format.formatter -> expr -> unit
-
 val pp_stmt : indent:int -> Format.formatter -> stmt -> unit
 
 val pp_func : Format.formatter -> func -> unit

@@ -2,6 +2,7 @@ open Ast
 
 (* ---- Sendmail tTflag ---------------------------------------------- *)
 
+(* 101 elements: valid indices 0..100. *)
 let tTvect_size = 101
 
 let tTflag_arrays = [ ("tTvect", tTvect_size) ]

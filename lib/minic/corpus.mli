@@ -9,9 +9,6 @@
 
 (** {2 Sendmail's tTflag (Figure 3)} *)
 
-val tTvect_size : int
-(** 101 elements (valid indices 0..100). *)
-
 val tTflag_arrays : (string * int) list
 
 val tTflag_vulnerable : Ast.func
@@ -29,8 +26,6 @@ val tTflag_object : string
 val run_tTflag : Ast.func -> str_x:string -> str_i:string -> Interp.outcome
 
 (** {2 GHTTPD's Log (Bugtraq #5960)} *)
-
-val log_buffer_size : int
 
 val log_vulnerable : Ast.func
 (** Unbounded [strcpy] into [char buf\[200\]]. *)

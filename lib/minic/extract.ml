@@ -143,6 +143,10 @@ let rec translate_term ~object_var (e : Ast.expr) =
          converted value; callers designate which view they model. *)
   | Ast.Str_lit _ | Ast.Var _ | Ast.Bin _ | Ast.Not _ -> None
 
+(* Render a guard as a predicate over [Self] (the named variable's
+   value); [None] when the expression leaves the supported fragment
+   (comparisons, boolean connectives, [strlen] of the object, integer
+   literals). *)
 let rec translate ~object_var (e : Ast.expr) =
   match e with
   | Ast.Int_lit 0 -> Some Pfsm.Predicate.False

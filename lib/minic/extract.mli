@@ -36,12 +36,6 @@ val dangerous_sites : Ast.func -> site list
     entering a loop body are pre-filtered by the variables the body
     assigns, since from the second iteration on they are stale. *)
 
-val translate : object_var:string -> Ast.expr -> Pfsm.Predicate.t option
-(** Render a guard as a predicate over [Self] (the named variable's
-    value); [None] when the expression leaves the supported fragment
-    (comparisons, boolean connectives, [strlen] of the object,
-    integer literals). *)
-
 val impl_predicate_at : object_var:string -> site -> Pfsm.Predicate.t option
 (** The site's path condition, translated and simplified. *)
 

@@ -11,7 +11,7 @@
     its merged rank as virtual time — so the serialized trace for a
     given seed is byte-identical at every [-j].
 
-    Buffers are bounded to {!cap_per_slot} events per (epoch, slot);
+    Buffers are bounded to 4096 events per (epoch, slot);
     the cutoff depends only on [seq], so drops are deterministic. *)
 
 type ph = B | E | I  (** span begin / span end / instant *)
@@ -29,8 +29,6 @@ type event = {
           one (breaks byte-identity; bench-only) *)
 }
 
-val cap_per_slot : int
-
 val enabled : unit -> bool
 
 val start : unit -> unit
@@ -47,7 +45,7 @@ val emit_with :
   ph:ph -> ?cat:string -> string -> ('a -> (string * string) list) -> 'a -> unit
 (** [emit_with ~ph name render x] is [emit ~ph ~args:(render x) name],
     except that [render] runs only for an event the calling slot keeps:
-    past {!cap_per_slot} the event is counted as dropped unrendered. *)
+    past the per-slot bound the event is counted as dropped unrendered. *)
 
 val drain : unit -> event list
 (** Stop recording, merge every domain's buffer into the deterministic

@@ -40,8 +40,6 @@ val key : t -> string
     ["path:" ^ p]: unlink/relink changes both the binding and what a
     stat returns, so separating them would be unsound. *)
 
-val same_object : t -> t -> bool
-
 val conflicts : t -> t -> bool
 (** Same key and at least one side write-like. *)
 

@@ -4,23 +4,6 @@ let step label run = { label; effects = []; run }
 
 let step_e label ~effects run = { label; effects; run }
 
-(* Lazy enumeration of the merges, in the same order the eager list
-   version produced: all merges starting with [x] before all merges
-   starting with [y]. *)
-let rec merge_seq xs ys () =
-  match xs, ys with
-  | [], _ -> Seq.Cons (ys, Seq.empty)
-  | _, [] -> Seq.Cons (xs, Seq.empty)
-  | x :: xs', y :: ys' ->
-      Seq.append
-        (Seq.map (fun rest -> x :: rest) (merge_seq xs' ys))
-        (Seq.map (fun rest -> y :: rest) (merge_seq xs ys'))
-        ()
-
-let interleavings_seq xs ys = merge_seq xs ys
-
-let interleavings xs ys = List.of_seq (merge_seq xs ys)
-
 (* C(n+m, n), multiplicatively.  [acc] is C(big+i-1, i-1) before step
    [i], so [acc * (big+i) / i] divides exactly; computing it as
    [q*(big+i) + r*(big+i)/i] with q = acc/i, r = acc mod i keeps every
@@ -194,13 +177,13 @@ let rec merge_all_seq seqs () =
             seqs))
       ()
 
-let interleavings_n_seq seqs = merge_all_seq seqs
-
 let interleavings_n seqs = List.of_seq (merge_all_seq seqs)
+
+let interleavings xs ys = interleavings_n [ xs; ys ]
 
 let schedules_n ?independent procs =
   match independent with
-  | None -> interleavings_n_seq procs
+  | None -> merge_all_seq procs
   | Some indep -> schedules_por ~independent:indep procs
 
 let mul_sat a b = if a <> 0 && b > max_int / a then max_int else a * b
@@ -223,17 +206,10 @@ let record_pruning ~independent ~total exploration =
      Obs.Metrics.add (por_pruned ()) (total - exploration.explored));
   exploration
 
-let explore ?budget ?independent ~init ~a ~b ~check () =
-  let total = interleaving_count (List.length a) (List.length b) in
-  let schedules =
-    match independent with
-    | None -> interleavings_seq a b
-    | Some indep -> schedules_por ~independent:indep [ a; b ]
-  in
-  record_pruning ~independent ~total
-    (run_schedules ?budget ~init ~check ~total schedules)
-
 let explore_n ?budget ?independent ~init ~procs ~check () =
   let total = interleaving_count_n (List.map List.length procs) in
   record_pruning ~independent ~total
     (run_schedules ?budget ~init ~check ~total (schedules_n ?independent procs))
+
+let explore ?budget ?independent ~init ~a ~b ~check () =
+  explore_n ?budget ?independent ~init ~procs:[ a; b ] ~check ()

@@ -37,10 +37,8 @@ val step_e : string -> effects:Effect.t list -> ('st -> unit) -> 'st step
 
 val interleavings : 'a list -> 'a list -> 'a list list
 (** All merges of the two sequences that preserve each sequence's
-    internal order.  Length is [C(n+m, n)]. *)
-
-val interleavings_seq : 'a list -> 'a list -> 'a list Seq.t
-(** The same merges, lazily, in the same order. *)
+    internal order: [interleavings_n [xs; ys]].  Length is
+    [C(n+m, n)]. *)
 
 val interleaving_count : int -> int -> int
 (** [C(n+m, n)] without materialising the schedules.  Saturates to
@@ -78,15 +76,14 @@ val explore :
     while programming errors propagate.  Collect each schedule on
     which [check] yields a result.  With [?independent] (usually
     {!Effect.independent}), sleep-set reduction runs one schedule per
-    trace instead of all of them. *)
+    trace instead of all of them.  The same as
+    [explore_n ~procs:[a; b]]. *)
 
 (** {2 N processes} *)
 
 val interleavings_n : 'a list list -> 'a list list
 (** All merges of any number of sequences — the multinomial
     generalisation of {!interleavings}. *)
-
-val interleavings_n_seq : 'a list list -> 'a list Seq.t
 
 val interleaving_count_n : int list -> int
 (** [(Σnᵢ)! / Πnᵢ!] without materialising the schedules; saturates

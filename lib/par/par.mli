@@ -19,17 +19,10 @@ end
 val max_jobs : int
 (** Upper clamp on any configured job count. *)
 
-val env_var : string
-(** ["DFSM_JOBS"]. *)
-
 val parse_jobs : string -> (int, string) result
 (** Parse a job count: decimal digits only, so [Error] for anything
     else (a sign, a hex prefix, [_], whitespace) and for [0]; values
     above {!max_jobs} are clamped. *)
-
-val jobs_from_env : unit -> (int option, string) result
-(** Read {!env_var}: [Ok None] when unset, [Ok (Some n)] when valid,
-    [Error _] when malformed. *)
 
 val jobs : unit -> int
 (** The effective job count.  Resolved on first use from [DFSM_JOBS],

@@ -35,8 +35,6 @@ type t =
 
 exception Type_error of string
 
-val eval_term : env:Env.t -> self:Value.t -> term -> Value.t
-
 val holds : env:Env.t -> self:Value.t -> t -> bool
 (** Raises {!Type_error} when the predicate is ill-typed for the
     object (e.g. [Length] of an integer). *)

@@ -3,8 +3,6 @@
 
 val pp_pfsm : Format.formatter -> Primitive.t -> unit
 
-val pp_operation : Format.formatter -> Operation.t -> unit
-
 val pp_model : Format.formatter -> Model.t -> unit
 (** The full cascade, one operation per block, with SPEC/IMPL
     predicates and hidden-path markers — a textual Figure 3/4/5/6/7. *)

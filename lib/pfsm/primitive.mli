@@ -60,8 +60,6 @@ val secured : t -> t
 (** The corrected pFSM: implementation enforces exactly the
     specification predicate, eliminating the hidden path. *)
 
-val transition_to_string : transition -> string
-
 val state_to_string : state -> string
 
 val pp_verdict : Format.formatter -> verdict -> unit

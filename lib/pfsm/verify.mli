@@ -37,9 +37,6 @@ val enumerate : domain -> Value.t list
 val size : domain -> int
 (** Number of candidates the domain denotes. *)
 
-val max_candidates : int
-(** 100_000. *)
-
 val verify : ?env:Env.t -> ?budget:Fault.Budget.t -> Primitive.t -> domain -> result
 (** Decide [impl ⇒ spec] on the domain, consuming one unit of
     [budget] fuel per candidate examined. *)

@@ -5,20 +5,18 @@
     row is a supervised work item (resource ["csv"]) whose text passes
     through the {!Fault.Hooks.mangle} seam before being re-tokenised
     and typed — under a bit-flip fault plan, corrupted rows surface as
-    typed [Rejected] quarantine entries while the rest of the document
-    still loads. *)
+    [Rejected] items of the report while the rest of the document
+    still loads.  A rejected row is recorded once, as its report
+    item's {!Run_report.Quarantined} outcome. *)
 
 type csv_outcome = {
   db : Vulndb.Database.t;  (** the rows that survived, as a database *)
   report : Run_report.t;
-  rejected : Vulndb.Csv.row Quarantine.t;
 }
 
 val csv :
   ?label:string ->
   ?config:Supervisor.config ->
-  ?checkpoint:Checkpoint.t ->
-  ?stop_after:int ->
   string ->
   (csv_outcome, Vulndb.Csv.error) result
 (** Document-level problems — the text does not tokenise, or the

@@ -2,11 +2,12 @@
 
     When a supervised sweep cannot complete an item — its retries are
     exhausted, its resource's circuit breaker is open, or the work was
-    rejected or crashed outright — the item is not
-    dropped and does not abort the sweep: it is {e quarantined}
-    together with a typed {!cause}, and the sweep continues.  The
-    quarantine store keeps the original item payload so a later run
-    (or a [--resume] invocation) can retry it. *)
+    rejected or crashed outright — the item is not dropped and does
+    not abort the sweep: it is {e quarantined} together with a typed
+    {!cause}, and the sweep continues.  The item's
+    {!Run_report.Quarantined} outcome is the one record of that
+    verdict; a [--resume] invocation re-runs quarantined items from
+    the checkpoint journal, which records completions only. *)
 
 type cause =
   | Retries_exhausted of { attempts : int; last : Fault.Condition.t }
@@ -14,9 +15,6 @@ type cause =
   | Breaker_open of { resource : string }
       (** the item's resource tripped its circuit breaker and did not
           recover within the item's retry schedule *)
-  | Deadline_exceeded of { spent : int }
-      (** a serve request spent its per-attempt fuel before it
-          finished *)
   | Rejected of { detail : string }
       (** the work item itself is invalid (e.g. a malformed CSV row) —
           retrying cannot help *)
@@ -31,17 +29,8 @@ val cause_to_string : cause -> string
 
 val pp_cause : Format.formatter -> cause -> unit
 
-type 'a entry = { id : string; item : 'a; attempts : int; cause : cause }
-
-type 'a t
-
-val create : unit -> 'a t
-
-val isolate : 'a t -> id:string -> item:'a -> attempts:int -> cause -> unit
-
-val entries : 'a t -> 'a entry list
-(** Oldest first. *)
-
-val count : 'a t -> int
-
-val find : 'a t -> string -> 'a entry option
+val isolate : id:string -> attempts:int -> unit
+(** Announce that item [id] was quarantined after [attempts]: bump
+    [resilience.quarantine.isolated] and emit a [quarantine] trace
+    instant.  Called exactly once per quarantined item, where its
+    report outcome is decided. *)

@@ -7,7 +7,6 @@ type 'a item = { id : string; resource : string; work : unit -> 'a }
 type 'a outcome = {
   report : Run_report.t;
   results : (string * 'a) list;
-  quarantined : 'a item Quarantine.t;
   breakers : Breaker.t list;
 }
 
@@ -67,7 +66,6 @@ let run ?(label = "supervised") ?(config = default_config) ?checkpoint
          |> List.filter (fun (_, it) -> not (checkpointed it)))
     else fun _ fallback -> fallback ()
   in
-  let quarantined = Quarantine.create () in
   let breakers = Breaker.table config.breaker in
   let clock = ref 0 in
   let waited = ref 0 in
@@ -102,7 +100,7 @@ let run ?(label = "supervised") ?(config = default_config) ?checkpoint
         rev_results := (it.id, v) :: !rev_results;
         emit it.id (Run_report.Completed { attempts }) ~from_checkpoint:false
     | Error (cause, attempts) ->
-        Quarantine.isolate quarantined ~id:it.id ~item:it ~attempts cause;
+        Quarantine.isolate ~id:it.id ~attempts;
         emit it.id (Run_report.Quarantined { attempts; cause })
           ~from_checkpoint:false
   in
@@ -134,5 +132,4 @@ let run ?(label = "supervised") ?(config = default_config) ?checkpoint
            | Some cp -> Checkpoint.skipped cp
            | None -> 0) };
     results = List.rev !rev_results;
-    quarantined;
     breakers = Breaker.all breakers }

@@ -7,9 +7,11 @@
     circuit {!Breaker} (consecutive failures trip it; while it is
     open, attempts are refused and consume the item's schedule), and
     an item the engine gives up on is quarantined with its typed
-    cause rather than dropped.  This module adds the sweep's own
-    concerns: the optional {!Checkpoint} (items a previous run
-    completed are reported from the journal and not re-executed;
+    cause rather than dropped: its report outcome is
+    {!Run_report.Quarantined}, the one record of that verdict, and
+    {!Quarantine.isolate} announces it once.  This module adds the
+    sweep's own concerns: the optional {!Checkpoint} (items a previous
+    run completed are reported from the journal and not re-executed;
     fresh completions are marked as they happen), [stop_after], and
     the results.
 
@@ -36,8 +38,6 @@ type 'a outcome = {
   report : Run_report.t;
   results : (string * 'a) list;
       (** values of the items completed {e this} run, in order *)
-  quarantined : 'a item Quarantine.t;
-      (** the failed items themselves, for later retry *)
   breakers : Breaker.t list;  (** final breaker per resource, creation order *)
 }
 

@@ -81,6 +81,7 @@ let join_lo_sym a b =
     { itv = Interval.top; lo_sym = a; hi_sym = None; from_atoi = false }
     { itv = Interval.top; lo_sym = b; hi_sym = None; from_atoi = false }
 
+(* Tighter-of; [None] is the identity. *)
 let meet_hi_sym a b =
   match a, b with
   | Some s1, Some s2 when s1.base = s2.base ->

@@ -36,7 +36,6 @@ val param_int : string -> Interval.t -> t
     [param + 0] on both sides. *)
 
 val top : t
-val top_num : num
 val str_top : t
 (** Any string: length in [\[0, +inf)]. *)
 
@@ -65,10 +64,6 @@ val join_num_r : resolve:(string -> Interval.t) -> num -> num -> num
     [x <= base + (h - bl)].  Without recovery every loop-head join
     against the entry state would destroy the relations the
     ReadPOSTData safety proof needs. *)
-
-val meet_hi_sym : sym option -> sym option -> sym option
-val meet_lo_sym : sym option -> sym option -> sym option
-(** Tighter-of; [None] is the identity. *)
 
 val add_num : num -> num -> num
 val sub_num : num -> num -> num

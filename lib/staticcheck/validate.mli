@@ -8,7 +8,7 @@
       whose outcome matches the claimed violation becomes the
       finding's witness.  No match — the finding stays [Unconfirmed],
       reported as such, never silently kept.
-    - {!corroborate}: rebuild the site as a pFSM — implementation
+    - corroboration: rebuild the site as a pFSM — implementation
       predicate extracted with {!Minic.Extract.impl_predicate_at},
       specification derived from the abstract fact (index within
       count, length within capacity) — and let {!Pfsm.Verify}
@@ -25,13 +25,8 @@ type corroboration =
   | Pfsm_inapplicable of string
       (** no extractable predicate / spec for this site *)
 
-val corroboration_to_string : corroboration -> string
-
 val replay :
   config:Absint.config -> Minic.Ast.func -> Absint.raw -> Finding.status
-
-val corroborate :
-  cfg:Cfg.t -> Minic.Ast.func -> Absint.raw -> corroboration
 
 val finding :
   config:Absint.config -> cfg:Cfg.t -> Minic.Ast.func -> Absint.raw ->

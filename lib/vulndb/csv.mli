@@ -11,8 +11,6 @@ val of_report : Report.t -> string
 val of_database : Database.t -> string
 (** Header plus one line per report, ascending by ID. *)
 
-val field_count : int
-
 val escape : string -> string
 (** Quote a field iff it contains a comma, quote, CR or newline. *)
 

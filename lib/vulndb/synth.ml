@@ -307,6 +307,8 @@ let seg_at p sp =
   done;
   p.segments.(!lo)
 
+(* The report at corpus position [pos] (curated first, then
+   synthetic): a pure function of [(plan, seed, pos)]. *)
 let report_at p ~seed ~pos =
   let nc = Array.length p.curated in
   if pos < nc then p.curated.(pos)

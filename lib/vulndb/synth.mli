@@ -60,10 +60,6 @@ val id_at : plan -> int -> int
 (** The report id at synthetic position [pos]: ids count up from
     {!synthetic_id_base}, skipping curated ids inside the block. *)
 
-val report_at : plan -> seed:int -> pos:int -> Report.t
-(** The report at corpus position [pos] (curated first, then
-    synthetic) — a pure function of [(plan, seed, pos)]. *)
-
 val chunk_reports : plan -> seed:int -> chunk:int -> index:int -> Report.t list
 (** Positions [[index*chunk, min (plan_size) ((index+1)*chunk))]. *)
 
@@ -92,10 +88,6 @@ val generate : seed:int -> Database.t
 
 val legacy_total : int
 (** 5925 — {!Category.total_reports}, the corpus size of the paper. *)
-
-val flaw_quota : Category.t -> (Report.flaw * int) list
-(** Target number of synthetic+curated reports of each non-[Other]
-    flaw inside a category, at the legacy total. *)
 
 val synthetic_id_base : int
 (** All generated IDs are at or above this (100000), far from real
