@@ -4,10 +4,10 @@
     exposed to hostile input, so it gets the full treatment: each data
     row is a supervised work item (resource ["csv"]) whose text passes
     through the {!Fault.Hooks.mangle} seam before being re-tokenised
-    and typed — under a bit-flip fault plan, corrupted rows surface as
-    [Rejected] items of the report while the rest of the document
-    still loads.  A rejected row is recorded once, as its report
-    item's {!Run_report.Quarantined} outcome. *)
+    and typed — under a bit-flip fault plan, corrupted rows are
+    quarantined as [Rejected] while the rest of the document still
+    loads.  A rejected row is recorded once, as its report item's
+    {!Run_report.Quarantined} outcome. *)
 
 type csv_outcome = {
   db : Vulndb.Database.t;  (** the rows that survived, as a database *)
