@@ -16,8 +16,9 @@ module Seed = struct
      decorrelated from the parent and from each other, and depend only
      on the pair — not on which domain runs the item or in what order.
      Seeded fan-outs must draw from a child stream per item, never
-     from a shared generator. *)
-  let mix64 z =
+     from a shared generator.  [mix64] is inlined so that [child]
+     boxes no [int64]. *)
+  let[@inline] mix64 z =
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
               0xBF58476D1CE4E5B9L in
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))

@@ -14,6 +14,38 @@ let test_prng_deterministic () =
     Alcotest.(check int) "same stream" (Vulndb.Prng.next a) (Vulndb.Prng.next b)
   done
 
+(* The stream itself, not just its repeatability: the first draws for
+   three seeds, as the splitmix64 generator has always given them.  A
+   change of representation that shifts the stream fails here. *)
+let test_prng_pinned_stream () =
+  List.iter
+    (fun (seed, expected) ->
+      let rng = Vulndb.Prng.create ~seed in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d" seed)
+        expected
+        (List.init (List.length expected) (fun _ -> Vulndb.Prng.next rng)))
+    [ (0,
+       [ 4073552104164651883; 1990071630548588925; 121904254867886419;
+         4477402844195135611; 490437550606523686 ]);
+      (7,
+       [ 1797772400223093621; 77422343148738951; 4154025436703902336;
+         2688291482075368050; 2086519961375180918 ]);
+      (20021130,
+       [ 3523427648880081438; 2815477514328539708; 1336865515758069864;
+         2328868707163775495; 4395163652893282003 ]) ]
+
+let test_prng_draws_allocate_nothing () =
+  let rng = Vulndb.Prng.create ~seed:3 in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sum := !sum + Vulndb.Prng.below rng 10
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "drew something" true (!sum > 0);
+  Alcotest.(check (float 0.)) "minor words for 10,000 draws" 0. words
+
 let test_prng_bounds () =
   let rng = Vulndb.Prng.create ~seed:11 in
   for _ = 1 to 1000 do
@@ -218,6 +250,9 @@ let () =
   Alcotest.run "vulndb"
     [ ("prng",
        [ Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
+         Alcotest.test_case "pinned stream" `Quick test_prng_pinned_stream;
+         Alcotest.test_case "draws allocate nothing" `Quick
+           test_prng_draws_allocate_nothing;
          Alcotest.test_case "bounds" `Quick test_prng_bounds;
          Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes ]);
       ("category",
