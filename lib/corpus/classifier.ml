@@ -30,19 +30,21 @@ let train seq =
 
 let predict model v =
   let best = ref 0 and best_d = ref infinity in
-  Array.iteri
-    (fun i c ->
-      let d = ref 0. in
-      for k = 0 to Features.dim - 1 do
-        let x = v.(k) -. c.(k) in
-        d := !d +. (x *. x)
-      done;
-      if !d < !best_d then begin
-        best := i;
-        best_d := !d
-      end)
-    model.centroids;
+  for i = 0 to ncat - 1 do
+    let c = model.centroids.(i) in
+    let d = ref 0. in
+    for k = 0 to Features.dim - 1 do
+      let x = v.(k) -. c.(k) in
+      d := !d +. (x *. x)
+    done;
+    if !d < !best_d then begin
+      best := i;
+      best_d := !d
+    end
+  done;
   !best
+
+let centroids model = model.centroids
 
 let model_digest model =
   let b = Buffer.create 1024 in
@@ -59,51 +61,6 @@ let confusion_empty = { n = 0; counts = Array.make (ncat * ncat) 0 }
 
 let confusion_merge a b =
   { n = a.n + b.n; counts = Array.init (ncat * ncat) (fun k -> a.counts.(k) + b.counts.(k)) }
-
-(* [predict], split at [Features.row_dim].  Its sum over the row slots
-   depends only on the report's row, so it is summed once per (row,
-   centroid) pair, in [predict]'s order; each report then adds its
-   tail squares in order.  The same additions in the same order give
-   the same floats, so every prediction equals
-   [predict model (Features.of_report r)]. *)
-let classify_all model iter =
-  let centroids = model.centroids in
-  let row_d = Array.make (Features.rows * ncat) 0. in
-  for row = 0 to Features.rows - 1 do
-    let slots = Features.row row in
-    for i = 0 to ncat - 1 do
-      let c = centroids.(i) in
-      let d = ref 0. in
-      for k = 0 to Features.row_dim - 1 do
-        let x = slots.(k) -. c.(k) in
-        d := !d +. (x *. x)
-      done;
-      row_d.((row * ncat) + i) <- !d
-    done
-  done;
-  let v = Array.make Features.dim 0. in
-  let counts = Array.make (ncat * ncat) 0 in
-  let n = ref 0 in
-  iter (fun (r : Vulndb.Report.t) ->
-      Features.set_tail r v;
-      let base = Features.row_of r * ncat in
-      let best = ref 0 and best_d = ref infinity in
-      for i = 0 to ncat - 1 do
-        let c = centroids.(i) in
-        let d = ref row_d.(base + i) in
-        for k = Features.row_dim to Features.dim - 1 do
-          let x = v.(k) -. c.(k) in
-          d := !d +. (x *. x)
-        done;
-        if !d < !best_d then begin
-          best := i;
-          best_d := !d
-        end
-      done;
-      let k = (Category.index r.Vulndb.Report.category * ncat) + !best in
-      counts.(k) <- counts.(k) + 1;
-      incr n);
-  { n = !n; counts }
 
 let accuracy m =
   if m.n = 0 then 0.

@@ -22,6 +22,10 @@ val train : (Vulndb.Category.t * float array) Seq.t -> model
 val predict : model -> float array -> int
 (** Index (in {!Vulndb.Category.all} order) of the nearest centroid. *)
 
+val centroids : model -> float array array
+(** The centroids, in {!Vulndb.Category.all} order; the caller must
+    not mutate them. *)
+
 val model_digest : model -> string
 (** Hex digest of the centroid floats — a cache-key component. *)
 
@@ -33,14 +37,6 @@ type confusion = {
 val confusion_empty : confusion
 
 val confusion_merge : confusion -> confusion -> confusion
-
-val classify_all : model -> ((Vulndb.Report.t -> unit) -> unit) -> confusion
-(** [classify_all model iter] classifies every report [iter] visits
-    (truth = its recorded category) into a fresh confusion matrix.
-    Each prediction is [predict model (Features.of_report r)], bit for
-    bit, but the distance over the row slots (see {!Features}) is
-    summed once per row and centroid per call, so a report costs its
-    tail alone and allocates nothing. *)
 
 val accuracy : confusion -> float
 (** Trace over total; 0 on an empty matrix. *)

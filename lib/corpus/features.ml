@@ -81,7 +81,9 @@ let rows = Array.length row_table
 
 let row i = Array.copy row_table.(i)
 
-let row_of (r : Report.t) = (flaw_index r.Report.flaw * 3) + range_index r.Report.range
+let row_index flaw range = (flaw_index flaw * 3) + range_index range
+
+let row_of (r : Report.t) = row_index r.Report.flaw r.Report.range
 
 let is_digit c = c >= '0' && c <= '9'
 
@@ -90,8 +92,7 @@ let digit s i = Char.code (String.unsafe_get s i) - Char.code '0'
 (* The year is the date's first four characters, when they are decimal
    digits (a report's date is YYYY-MM-DD), counted from 1998; any other
    date reads 0. *)
-let year_of (r : Report.t) =
-  let d = r.Report.date in
+let year_of d =
   if String.length d >= 4 && is_digit d.[0] && is_digit d.[1] && is_digit d.[2]
      && is_digit d.[3]
   then (digit d 0 * 1000) + (digit d 1 * 100) + (digit d 2 * 10) + digit d 3 - 1998
@@ -104,13 +105,19 @@ let rec word_count s i n in_word =
   else if in_word then word_count s (i + 1) n true
   else word_count s (i + 1) (n + 1) true
 
-let set_tail (r : Report.t) v =
-  v.(row_dim) <- float_of_int (String.length r.Report.title);
-  v.(row_dim + 1) <- float_of_int (word_count r.Report.title 0 0 false);
-  v.(row_dim + 2) <- float_of_int (year_of r)
+let set_tail_of ~title ~date v =
+  v.(row_dim) <- float_of_int (String.length title);
+  v.(row_dim + 1) <- float_of_int (word_count title 0 0 false);
+  v.(row_dim + 2) <- float_of_int (year_of date)
+
+let set_tail (r : Report.t) v = set_tail_of ~title:r.Report.title ~date:r.Report.date v
+
+let of_fields ~flaw ~range ~title ~date =
+  let v = Array.make dim 0. in
+  Array.blit row_table.(row_index flaw range) 0 v 0 row_dim;
+  set_tail_of ~title ~date v;
+  v
 
 let of_report (r : Report.t) =
-  let v = Array.make dim 0. in
-  Array.blit row_table.(row_of r) 0 v 0 row_dim;
-  set_tail r v;
-  v
+  of_fields ~flaw:r.Report.flaw ~range:r.Report.range ~title:r.Report.title
+    ~date:r.Report.date

@@ -13,10 +13,11 @@
     [\[0, row_dim)], depends only on the report's flaw and range, so
     the {!rows} possible rows form a table built once at module
     initialisation; the tail, slots [\[row_dim, dim)], is read from
-    the report itself.  A caller that computes something per row
-    (the classifier's centroid distances) does it once per table
-    entry, not once per report.  Extraction is allocation-light and
-    safe to run on pool domains. *)
+    the report's title and date.  {!of_fields} reads the same four
+    fields without a report, which lets the classify pipeline score
+    a synthetic report's vector before any report is built.
+    Extraction is allocation-light and safe to run on pool
+    domains. *)
 
 val dim : int
 (** Length of every feature vector. *)
@@ -47,7 +48,17 @@ val set_tail : Vulndb.Report.t -> float array -> unit
 
 val of_report : Vulndb.Report.t -> float array
 (** The feature vector, [row (row_of r)] then the tail; a pure
-    function of the report. *)
+    function of the report's flaw, range, title and date. *)
+
+val of_fields :
+  flaw:Vulndb.Report.flaw ->
+  range:Vulndb.Report.range ->
+  title:string ->
+  date:string ->
+  float array
+(** The vector of every report with these four fields: [of_report r]
+    is [of_fields ~flaw:r.flaw ~range:r.range ~title:r.title
+    ~date:r.date]. *)
 
 val version : string
 (** Cache-key component: bump when the vector layout changes. *)

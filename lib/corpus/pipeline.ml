@@ -41,6 +41,69 @@ type t = {
   baseline : float;
 }
 
+let years = Synth.last_year - Synth.first_year + 1
+
+let ranges = [| Vulndb.Report.Remote; Vulndb.Report.Local; Vulndb.Report.Both |]
+
+let range_index = function
+  | Vulndb.Report.Remote -> 0
+  | Vulndb.Report.Local -> 1
+  | Vulndb.Report.Both -> 2
+
+let cell ~segment (d : Synth.draw) =
+  (((((segment * Array.length ranges) + range_index d.range) * Synth.packages)
+    + d.package)
+   * years)
+  + d.year - Synth.first_year
+
+(* A synthetic report's vector depends only on its segment and on its
+   draw's range, package and year: the version numbers are single
+   digits, so the title's length and words depend on the package alone,
+   and the day and month are not part of the year.  So the draw table
+   holds, for every (segment, range, package, year) of the plan, the
+   confusion cell [truth * ncat + predicted] of [predict] on the vector
+   [Features] gives such a report, built from the title and date
+   [Synth] writes for it.  Curated reports are scored one by one. *)
+let chunk_classifier model p =
+  let segments = Synth.segments p and ncat = Classifier.ncat in
+  let table =
+    Array.make (Array.length segments * Array.length ranges * Synth.packages * years) 0
+  in
+  let d0 =
+    { Synth.minor = 0; major = 0; package = 0; range = ranges.(0); day = 1; month = 1;
+      year = Synth.first_year }
+  in
+  let dates = Array.init years (fun k -> Synth.date { d0 with year = Synth.first_year + k }) in
+  Array.iteri
+    (fun segment (category, flaw) ->
+      let truth = Category.index category * ncat in
+      for package = 0 to Synth.packages - 1 do
+        let title = Synth.title category flaw { d0 with package } in
+        Array.iter
+          (fun range ->
+            Array.iteri
+              (fun k date ->
+                let v = Features.of_fields ~flaw ~range ~title ~date in
+                let d = { d0 with package; range; year = Synth.first_year + k } in
+                table.(cell ~segment d) <- truth + Classifier.predict model v)
+              dates)
+          ranges
+      done)
+    segments;
+  fun ~seed ~chunk ~index ->
+    let counts = Array.make (ncat * ncat) 0 and n = ref 0 in
+    let count k =
+      counts.(k) <- counts.(k) + 1;
+      incr n
+    in
+    Synth.chunk_draws p ~seed ~chunk ~index
+      ~curated:(fun r ->
+        count
+          ((Category.index r.Vulndb.Report.category * ncat)
+           + Classifier.predict model (Features.of_report r)))
+      ~synthetic:(fun ~segment d -> count table.(cell ~segment d));
+    { Classifier.n = !n; counts }
+
 let run ?curated ~seed ~total ~chunk () =
   if chunk < 1 then Error (Synth.Invalid_chunk chunk)
   else
@@ -53,6 +116,7 @@ let run ?curated ~seed ~total ~chunk () =
             let md = Classifier.model_digest model in
             let pd = Synth.plan_digest p in
             let n = Synth.chunk_count p ~chunk in
+            let classify = chunk_classifier model p in
             let summary i =
               Store.Handle.cached ~tag:"corpus-summary"
                 ~key:
@@ -60,10 +124,7 @@ let run ?curated ~seed ~total ~chunk () =
                      seed chunk i md Features.version)
                 (fun () ->
                   Obs.Metrics.incr m_summaries;
-                  let c =
-                    Classifier.classify_all model
-                      (Synth.chunk_iter p ~seed ~chunk ~index:i)
-                  in
+                  let c = classify ~seed ~chunk ~index:i in
                   Obs.Metrics.add m_generated c.Classifier.n;
                   c)
             in

@@ -8,12 +8,11 @@
 
     - ["corpus-summary"] — one record per chunk: its classification
       confusion counts.  On a warm store this tier short-circuits the
-      whole chunk (no generation, no feature extraction), which is
-      what makes million-report sweeps incremental across processes.
-      A miss regenerates the chunk's reports from the plan.  They are
-      never written: regenerating a chunk costs about as much as
-      decoding its record, before the file is even read, and writing
-      the record costs more than either.
+      whole chunk (no draws, no table reads), which is what makes
+      million-report sweeps incremental across processes.  A miss
+      redraws the chunk from the plan.  Reports are never written:
+      redrawing a chunk costs far less than decoding a record of its
+      reports.
     - ["corpus-centroids"] — the trained classifier (always on the
       legacy 5925-report corpus, fixed internal chunking, sequential
       float folds — independent of [--chunk] and [-j]).
@@ -25,8 +24,8 @@
     byte-identical at any [-j] and invariant under chunk size.
 
     Counters: [corpus.chunks], [corpus.reports] (accounted into the
-    final matrix), [corpus.generated] (reports generated fresh this
-    process), [corpus.summaries] (summaries computed fresh). *)
+    final matrix), [corpus.generated] (reports drawn and scored fresh
+    this process), [corpus.summaries] (summaries computed fresh). *)
 
 type t = {
   total : int;    (** requested corpus size *)
@@ -41,6 +40,24 @@ type t = {
 val centroids : seed:int -> (Classifier.model, Vulndb.Synth.error) result
 (** The trained (store-cached) classifier. *)
 
+val chunk_classifier :
+  Classifier.model ->
+  Vulndb.Synth.plan ->
+  seed:int ->
+  chunk:int ->
+  index:int ->
+  Classifier.confusion
+(** [chunk_classifier model p] builds the plan's draw table: for every
+    (segment, range, package, year) a synthetic report of [p] can
+    draw, the category [Classifier.predict model] gives the vector
+    {!Features} reads from such a report.  The function it returns
+    scores chunk [index], bit for bit as [predict model
+    (Features.of_report r)] over {!Vulndb.Synth.chunk_reports} would:
+    a synthetic position costs its draws ({!Vulndb.Synth.chunk_draws})
+    and one table read, and builds no string or report; a curated
+    report is scored by [predict].  The table is read-only, so the
+    function is safe to run on pool domains. *)
+
 val run :
   ?curated:Vulndb.Report.t list ->
   seed:int ->
@@ -49,9 +66,9 @@ val run :
   unit ->
   (t, Vulndb.Synth.error) result
 (** Classify a [total]-report corpus in [chunk]-sized pieces fanned
-    over the {!Par} pool.  A chunk's reports stream one at a time
-    from {!Vulndb.Synth.chunk_iter} into
-    {!Classifier.classify_all}; no chunk is ever resident. *)
+    over the {!Par} pool.  The draw table is built once, before the
+    fan-out; each chunk is then one {!chunk_classifier} call, and no
+    chunk's reports are ever built. *)
 
 val ok : t -> bool
 (** Conservation (every planned report classified exactly once) and

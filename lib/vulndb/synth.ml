@@ -53,11 +53,46 @@ let category_phrase c =
   | Category.Serialization_error -> "Serialization"
   | Category.Unknown -> "Unspecified"
 
+(* A synthetic report is seven PRNG draws, then strings built from
+   them.  Only [draw] touches the PRNG, so the draw order is written
+   here once; it is part of every report's bytes (test_corpus pins
+   them).  It is the right-to-left argument order of the [sprintf]
+   calls an earlier builder used: the software's minor, major and
+   package, the range, then the date's day, month and year. *)
+
+type draw = {
+  minor : int;
+  major : int;
+  package : int;
+  range : Report.range;
+  day : int;
+  month : int;
+  year : int;
+}
+
+let packages = Array.length software_pool
+
+let first_year = 1998
+
+let last_year = 2002
+
+let draw rng =
+  let minor = Prng.in_range rng ~low:0 ~high:9 in
+  let major = Prng.in_range rng ~low:0 ~high:4 in
+  let package = Prng.below rng packages in
+  let range =
+    match Prng.below rng 4 with
+    | 0 -> Report.Local
+    | 1 -> Report.Both
+    | _ -> Report.Remote
+  in
+  let day = Prng.in_range rng ~low:1 ~high:28 in
+  let month = Prng.in_range rng ~low:1 ~high:12 in
+  let year = Prng.in_range rng ~low:first_year ~high:last_year in
+  { minor; major; package; range; day; month; year }
+
 (* Report strings are written into [Bytes] directly: [Printf] took
-   most of a million-report sweep's time.  The PRNG draw order is part
-   of every report's bytes (test_corpus pins them).  It is the
-   right-to-left argument order of the [sprintf] calls this code
-   replaced, so each builder draws its last field first. *)
+   most of a million-report sweep's time. *)
 
 (* [n] as [width] zero-padded decimal digits at [pos]. *)
 let put_digits b ~pos ~width n =
@@ -67,32 +102,27 @@ let put_digits b ~pos ~width n =
     n := !n / 10
   done
 
-(* YYYY-MM-DD; drawn day, month, year. *)
-let date_of rng =
-  let day = Prng.in_range rng ~low:1 ~high:28 in
-  let month = Prng.in_range rng ~low:1 ~high:12 in
-  let year = Prng.in_range rng ~low:1998 ~high:2002 in
+(* YYYY-MM-DD *)
+let date d =
   let b = Bytes.create 10 in
-  put_digits b ~pos:0 ~width:4 year;
+  put_digits b ~pos:0 ~width:4 d.year;
   Bytes.unsafe_set b 4 '-';
-  put_digits b ~pos:5 ~width:2 month;
+  put_digits b ~pos:5 ~width:2 d.month;
   Bytes.unsafe_set b 7 '-';
-  put_digits b ~pos:8 ~width:2 day;
+  put_digits b ~pos:8 ~width:2 d.day;
   Bytes.unsafe_to_string b
 
-(* "<package> <major>.<minor>"; drawn minor, major, package.  Both
-   version numbers are single digits. *)
-let software_of rng =
-  let minor = Prng.in_range rng ~low:0 ~high:9 in
-  let major = Prng.in_range rng ~low:0 ~high:4 in
-  let package = Prng.pick rng software_pool in
+(* "<package> <major>.<minor>"; both version numbers are single
+   digits. *)
+let software_of d =
+  let package = software_pool.(d.package) in
   let n = String.length package in
   let b = Bytes.create (n + 4) in
   Bytes.blit_string package 0 b 0 n;
   Bytes.unsafe_set b n ' ';
-  put_digits b ~pos:(n + 1) ~width:1 major;
+  put_digits b ~pos:(n + 1) ~width:1 d.major;
   Bytes.unsafe_set b (n + 2) '.';
-  put_digits b ~pos:(n + 3) ~width:1 minor;
+  put_digits b ~pos:(n + 3) ~width:1 d.minor;
   Bytes.unsafe_to_string b
 
 (* "<software> <category phrase> <flaw phrase>", in one allocation. *)
@@ -107,17 +137,12 @@ let title_of software category flaw =
   Bytes.blit_string f 0 b (ns + nc + 2) (String.length f);
   Bytes.unsafe_to_string b
 
-let synth_report rng ~id ~category ~flaw =
-  let software = software_of rng in
-  let title = title_of software category flaw in
-  let range =
-    match Prng.below rng 4 with
-    | 0 -> Report.Local
-    | 1 -> Report.Both
-    | _ -> Report.Remote
-  in
-  Report.make ~id ~title ~date:(date_of rng) ~category ~software ~range ~flaw
-    ~synthetic:true ()
+let title category flaw d = title_of (software_of d) category flaw
+
+let materialize ~id ~category ~flaw d =
+  let software = software_of d in
+  Report.make ~id ~title:(title_of software category flaw) ~date:(date d)
+    ~category ~software ~range:d.range ~flaw ~synthetic:true ()
 
 (* ------------------------------------------------------------------ *)
 (* The validated corpus plan. *)
@@ -293,7 +318,10 @@ let id_at p pos =
   Array.iter (fun s -> if s <= !id then incr id) p.skips;
   !id
 
-let seg_at p sp =
+let segments p = Array.map (fun s -> (s.seg_category, s.seg_flaw)) p.segments
+
+(* The index of the segment holding synthetic position [sp]. *)
+let seg_index p sp =
   let lo = ref 0 and hi = ref (Array.length p.segments - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -305,7 +333,10 @@ let seg_at p sp =
       hi := mid
     end
   done;
-  p.segments.(!lo)
+  !lo
+
+(* Synthetic position [sp] draws from its own child stream. *)
+let draw_at ~seed sp = draw (Prng.create ~seed:(Par.Seed.child ~seed ~index:sp))
 
 (* The report at corpus position [pos] (curated first, then
    synthetic): a pure function of [(plan, seed, pos)]. *)
@@ -314,10 +345,9 @@ let report_at p ~seed ~pos =
   if pos < nc then p.curated.(pos)
   else begin
     let sp = pos - nc in
-    let seg = seg_at p sp in
-    let rng = Prng.create ~seed:(Par.Seed.child ~seed ~index:sp) in
-    synth_report rng ~id:(id_at p sp) ~category:seg.seg_category
-      ~flaw:seg.seg_flaw
+    let seg = p.segments.(seg_index p sp) in
+    materialize ~id:(id_at p sp) ~category:seg.seg_category ~flaw:seg.seg_flaw
+      (draw_at ~seed sp)
   end
 
 let chunk_reports p ~seed ~chunk ~index =
@@ -329,11 +359,24 @@ let chunk_reports p ~seed ~chunk ~index =
   in
   go (hi - 1) []
 
-let chunk_iter p ~seed ~chunk ~index f =
+(* Segments are contiguous and never empty, so the segment index steps
+   up by at most one from one position to the next. *)
+let chunk_draws p ~seed ~chunk ~index ~curated ~synthetic =
+  let nc = Array.length p.curated in
   let lo = index * chunk in
-  for pos = lo to min (plan_size p) (lo + chunk) - 1 do
-    f (report_at p ~seed ~pos)
-  done
+  let hi = min (plan_size p) (lo + chunk) in
+  for pos = lo to min hi nc - 1 do
+    curated p.curated.(pos)
+  done;
+  if hi > nc then begin
+    let first = max lo nc - nc in
+    let s = ref (seg_index p first) in
+    for sp = first to hi - nc - 1 do
+      let seg = p.segments.(!s) in
+      if sp >= seg.seg_first + seg.seg_count then incr s;
+      synthetic ~segment:!s (draw_at ~seed sp)
+    done
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Streaming generation.  Every report is a pure function of

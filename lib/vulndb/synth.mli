@@ -63,12 +63,53 @@ val id_at : plan -> int -> int
 val chunk_reports : plan -> seed:int -> chunk:int -> index:int -> Report.t list
 (** Positions [[index*chunk, min (plan_size) ((index+1)*chunk))]. *)
 
-val chunk_iter :
-  plan -> seed:int -> chunk:int -> index:int -> (Report.t -> unit) -> unit
-(** [chunk_iter p ~seed ~chunk ~index f] applies [f] to the reports of
-    {!chunk_reports}, in position order, without building the list:
-    each report can die young instead of living as long as its
-    chunk. *)
+type draw = {
+  minor : int;          (** software version minor, [0]–[9] *)
+  major : int;          (** software version major, [0]–[4] *)
+  package : int;        (** software package, in [\[0, packages)] *)
+  range : Report.range;
+  day : int;            (** [1]–[28] *)
+  month : int;          (** [1]–[12] *)
+  year : int;           (** in [\[first_year, last_year\]] *)
+}
+(** One synthetic report's seven PRNG draws, in the order its stream
+    yields them.  The report is built from them: {!chunk_reports}
+    builds both, and a caller that needs only some of the values
+    reads the draws through {!chunk_draws} and builds no string. *)
+
+val packages : int
+(** Size of the software package pool. *)
+
+val first_year : int
+
+val last_year : int
+
+val title : Category.t -> Report.flaw -> draw -> string
+(** The title of the synthetic report with this draw in a segment of
+    this (category, flaw): ["<package> <major>.<minor> <category
+    phrase> <flaw phrase>"].  Both version numbers are single digits,
+    so its length and words depend on the package alone. *)
+
+val date : draw -> string
+(** The report's date, YYYY-MM-DD. *)
+
+val segments : plan -> (Category.t * Report.flaw) array
+(** The plan's synthetic segments, in position order: every synthetic
+    report of segment [i] has its category and flaw. *)
+
+val chunk_draws :
+  plan ->
+  seed:int ->
+  chunk:int ->
+  index:int ->
+  curated:(Report.t -> unit) ->
+  synthetic:(segment:int -> draw -> unit) ->
+  unit
+(** [chunk_draws p ~seed ~chunk ~index ~curated ~synthetic] visits the
+    positions of {!chunk_reports} in order: [curated r] for a curated
+    report, [synthetic ~segment d] for a synthetic one, [d] being the
+    draw the report at that position is built from.  It builds no
+    string and no report. *)
 
 val generate_stream :
   ?curated:Report.t list ->

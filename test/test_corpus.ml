@@ -2,8 +2,9 @@
    instead of deep Database.add crashes), chunk-merge equality with
    the legacy generator, id-space safety around curated ids inside
    the synthetic block, the nearest-centroid classifier's
-   determinism, and store-backed incremental sweeps surviving the
-   durability fault catalog. *)
+   determinism, the draw table against the per-report oracle, and
+   store-backed incremental sweeps surviving the durability fault
+   catalog. *)
 
 module Synth = Vulndb.Synth
 module Report = Vulndb.Report
@@ -74,9 +75,8 @@ let test_stream_jobs_identical () =
    property above cannot see a change in what it builds.  These digests
    pin the bytes themselves: the legacy corpus as `dfsm csv --seed 1`
    prints it, and chunks sampled across a million-report plan at
-   another seed, built as lists and visited by [chunk_iter].  Chunk 0
-   holds the curated reports, chunk 195 steps over the curated ids
-   900001/900002, and chunk 244 is partial. *)
+   another seed.  Chunk 0 holds the curated reports, chunk 195 steps
+   over the curated ids 900001/900002, and chunk 244 is partial. *)
 
 let md5_hex s = Digest.to_hex (Digest.string s)
 
@@ -95,13 +95,7 @@ let test_pinned_report_bytes () =
           Alcotest.(check string)
             (Printf.sprintf "1M plan, chunk %d" index)
             expected
-            (md5_hex (String.concat "\n" rows));
-          let visited = ref [] in
-          Synth.chunk_iter p ~seed:20021130 ~chunk:4096 ~index (fun r ->
-              visited := Vulndb.Csv.of_report r :: !visited);
-          Alcotest.(check (list string))
-            (Printf.sprintf "1M plan, chunk %d: chunk_iter = chunk_reports" index)
-            rows (List.rev !visited))
+            (md5_hex (String.concat "\n" rows)))
         [ (0, "d545bf4d11af1a03391f8f5b12d3a9e2");
           (1, "b336c3af281aebdecfd3e3ab03eb2bda");
           (122, "9f7d30a20f306e6169e6829d083a3c0a");
@@ -227,15 +221,17 @@ let test_classifier_chunk_and_jobs_invariant () =
   Alcotest.(check string) "-j2 byte-identical" j1 (at 2);
   Alcotest.(check string) "-j4 byte-identical" j1 (at 4)
 
-(* [classify_all] sums each (row, centroid) distance once per call and
-   adds each report's tail to it; [predict] sums all slots per report.
-   Both add the same floats in the same order, so they must agree
-   exactly: on arbitrary reports (empty titles, runs and leading
-   spaces, dates that are not four digits, every flaw, range and
-   category) against models trained on random vectors.  Some models
-   give several categories the same training vectors, and some give
-   every category the same ones: their centroids coincide, and only
-   the first of the tied categories may win. *)
+(* [predict] still scores every curated report and the benchmark's
+   traced replica.  The oracle's [classify_all] sums each (row,
+   centroid) distance once per call and adds each report's tail to it;
+   [predict] sums all slots per report.  Both add the same floats in
+   the same order, so they must agree exactly: on arbitrary reports
+   (empty titles, runs and leading spaces, dates that are not four
+   digits, every flaw, range and category) against models trained on
+   random vectors.  Some models give several categories the same
+   training vectors, and some give every category the same ones: their
+   centroids coincide, and only the first of the tied categories may
+   win. *)
 
 let all_flaws =
   [ Report.Stack_buffer_overflow; Report.Heap_overflow; Report.Integer_overflow;
@@ -326,7 +322,7 @@ let prop_of_report_slots =
       && v.(slot "year") = float_of_int year)
 
 (* The truth index found by searching [Category.all], so the property
-   also checks [Category.index], which [classify_all] uses. *)
+   also checks [Category.index], which both paths use. *)
 let category_position c =
   let rec go i = function
     | [] -> assert false
@@ -356,8 +352,106 @@ let prop_classify_all_is_predict =
            (List.map (fun (r : Report.t) -> Printf.sprintf "%S %S" r.Report.title r.Report.date) rs))
        QCheck.Gen.(pair gen_model (list_size (int_range 0 40) gen_report)))
     (fun (model, reports) ->
-      Corpus.Classifier.classify_all model (fun f -> List.iter f reports)
+      Corpus_ref.classify_all model (fun f -> List.iter f reports)
       = predict_each model reports)
+
+(* ---- the draw table ----------------------------------------------- *)
+
+(* [Pipeline.chunk_classifier] scores a synthetic position from its
+   draw alone; the oracle builds every report and scores it.  They must
+   give the same confusion, chunk by chunk. *)
+
+let model_exn ~seed =
+  match Corpus.Pipeline.centroids ~seed with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "centroids: %s" (Synth.error_to_string e)
+
+let plan_exn ~total =
+  match Synth.plan ~total () with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "plan: %s" (Synth.error_to_string e)
+
+(* Both paths over every chunk of a plan: the first chunk index at
+   which they differ, if any, and the oracle's chunks merged. *)
+let compare_chunks ~seed ~total ~chunk =
+  let p = plan_exn ~total and model = model_exn ~seed in
+  let classify = Corpus.Pipeline.chunk_classifier model p in
+  let rec go index merged =
+    if index = Synth.chunk_count p ~chunk then (None, merged)
+    else
+      let oracle = Corpus_ref.chunk_confusion model p ~seed ~chunk ~index in
+      if classify ~seed ~chunk ~index <> oracle then (Some index, merged)
+      else go (index + 1) (Corpus.Classifier.confusion_merge merged oracle)
+  in
+  go 0 Corpus.Classifier.confusion_empty
+
+let test_draw_table_million () =
+  let seed = 20021130 and total = 1_000_000 and chunk = 4096 in
+  match compare_chunks ~seed ~total ~chunk with
+  | Some index, _ -> Alcotest.failf "1M plan, chunk %d: table <> oracle" index
+  | None, merged ->
+      Alcotest.(check bool) "run = the oracle's chunks, merged" true
+        ((run_exn ~seed ~total ~chunk ()).Corpus.Pipeline.confusion = merged)
+
+(* Small chunks fall inside the 15-report curated prefix or straddle
+   it, and any chunk may straddle segments.  Small chunks are drawn for
+   small totals, so that no case holds more than about 4000 chunks. *)
+let prop_draw_table_any_plan =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* total = frequency [ (3, int_range 1 3000); (1, int_range 3000 100_000) ] in
+      let* chunk =
+        frequency [ (2, int_range 1 16); (2, int_range 17 4096); (1, int_range 4097 120_000) ]
+      in
+      let* seed = int_range 0 1_000_000 in
+      return (total, max chunk ((total / 4000) + 1), seed))
+  in
+  Test.make ~name:"corpus: draw table = oracle, chunk by chunk, any plan" ~count:25
+    (make ~print:(fun (t, c, s) -> Printf.sprintf "total %d chunk %d seed %d" t c s) gen)
+    (fun (total, chunk, seed) -> fst (compare_chunks ~seed ~total ~chunk) = None)
+
+(* The table leaves out the version numbers, the day and the month.
+   For every (category, flaw) pair and package, the vector of the
+   report [Synth] builds must not change with the version, and for
+   every year it must not change with the day or the month. *)
+let test_draw_table_key_complete () =
+  let d0 =
+    { Synth.minor = 0; major = 0; package = 0; range = Report.Remote; day = 1; month = 1;
+      year = Synth.first_year }
+  in
+  let vector category flaw (d : Synth.draw) =
+    Corpus.Features.of_fields ~flaw ~range:d.Synth.range
+      ~title:(Synth.title category flaw d) ~date:(Synth.date d)
+  in
+  List.iter
+    (fun category ->
+      List.iter
+        (fun flaw ->
+          for package = 0 to Synth.packages - 1 do
+            let d = { d0 with package } in
+            let expected = vector category flaw d in
+            for major = 0 to 4 do
+              for minor = 0 to 9 do
+                if vector category flaw { d with major; minor } <> expected then
+                  Alcotest.failf "%s/%s, package %d: version %d.%d moves the vector"
+                    (Category.to_string category) (Report.flaw_to_string flaw) package
+                    major minor
+              done
+            done
+          done)
+        all_flaws)
+    Category.all;
+  for year = Synth.first_year to Synth.last_year do
+    let d = { d0 with year } in
+    let expected = vector Category.Unknown Report.Other_flaw d in
+    for month = 1 to 12 do
+      for day = 1 to 28 do
+        if vector Category.Unknown Report.Other_flaw { d with month; day } <> expected then
+          Alcotest.failf "%d-%02d-%02d moves the vector" year month day
+      done
+    done
+  done
 
 (* ---- store-backed sweeps ------------------------------------------ *)
 
@@ -527,6 +621,12 @@ let () =
            test_classifier_chunk_and_jobs_invariant;
          QCheck_alcotest.to_alcotest prop_of_report_slots;
          QCheck_alcotest.to_alcotest prop_classify_all_is_predict ]);
+      ("draw table",
+       [ Alcotest.test_case "= oracle on every chunk of the 1M plan" `Quick
+           test_draw_table_million;
+         QCheck_alcotest.to_alcotest prop_draw_table_any_plan;
+         Alcotest.test_case "no left-out draw moves a vector" `Quick
+           test_draw_table_key_complete ]);
       ("store",
        [ Alcotest.test_case "warm sweep recomputes nothing" `Quick
            test_warm_sweep_incremental;
