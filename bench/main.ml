@@ -1274,14 +1274,17 @@ let perf_bench () =
 
 (* The cost model of the million-report path at bench scale: the
    legacy whole-database generator versus the chunked stream (same
-   report content by construction), and the end-to-end store-less
-   classification sweep.  Bytes come from {!Obs.Allocs.minor_bytes_of}
+   report content by construction), and the verb's own store-less
+   classification sweep, a million reports in chunks of 4096.  A
+   generation round repeats each generator [generations] times, so
+   that a round is well above the 10 ms timer floor; its -bytes keys
+   are per generation.  Bytes come from {!Obs.Allocs.minor_bytes_of}
    (a pure allocation-event count, independent of collector phase),
    which makes -bytes the precise gate; wall-clock catches
    catastrophes. *)
 let corpus_bench () =
   section "CORPUS -- streaming corpus generation and classification";
-  let total = Vulndb.Synth.legacy_total in
+  let total = Vulndb.Synth.legacy_total and generations = 20 in
   let stream () =
     let n = ref 0 in
     (match
@@ -1292,27 +1295,44 @@ let corpus_bench () =
      | Error e -> failwith (Vulndb.Synth.error_to_string e));
     !n
   in
+  let per_generation f =
+    let r, bytes = Obs.Allocs.minor_bytes_of f in
+    (r, bytes /. float_of_int generations)
+  in
   let m =
-    leg ~section:"CORPUS" ~bytes:Obs.Allocs.minor_bytes_of
+    leg ~section:"CORPUS" ~bytes:per_generation
       (Printf.sprintf
-         "corpus of %d reports, one round = one generation per side (stream chunk 1024)"
-         total)
-      [ ("legacy-generate-ms", fun () -> Vulndb.Database.size (Vulndb.Synth.generate ~seed:1));
-        ("stream-generate-ms", stream) ]
+         "corpus of %d reports, one round = %d generations per side (stream chunk 1024), \
+          bytes per generation"
+         total generations)
+      [ ("legacy-generate-ms",
+         repeat generations (fun () -> Vulndb.Database.size (Vulndb.Synth.generate ~seed:1)));
+        ("stream-generate-ms", repeat generations stream) ]
   in
   ratio ~section:"CORPUS" "stream-speedup" ~base:m.(0) m.(1) (m.(0).median /. m.(1).median);
-  let rate = float_of_int m.(1).last /. m.(1).median in
+  let rate = float_of_int (generations * total) /. m.(1).median in
   Format.printf "  %-28s %10.0f@." "stream-reports-per-s" rate;
   record ~section:"CORPUS" "stream-reports-per-s" rate;
+  (* At -j 1 whatever DFSM_JOBS says, so that the rate compares with
+     the baseline's at any job count; bench/e2e's --jobs measures what
+     -j does to the verb. *)
+  let reports = 1_000_000 in
   let c =
-    leg ~section:"CORPUS"
-      "store-less classification, one round = one run over 20000 reports (chunk 512)"
-      [ ( "classify-ms",
+    measure
+      [ ( 1,
           fun () ->
-            match Corpus.Pipeline.run ~seed:1 ~total:20_000 ~chunk:512 () with
+            match Corpus.Pipeline.run ~seed:1 ~total:reports ~chunk:4096 () with
             | Ok t -> t
             | Error e -> failwith (Vulndb.Synth.error_to_string e) ) ]
   in
+  report ~section:"CORPUS"
+    (Printf.sprintf
+       "store-less classification at -j 1, one round = one run over %d reports (chunk 4096)"
+       reports)
+    [ "classify-ms" ] c;
+  let rate = float_of_int reports /. c.(0).median in
+  Format.printf "  %-28s %10.0f@." "classify-reports-per-s" rate;
+  record ~section:"CORPUS" "classify-reports-per-s" rate;
   let t = c.(0).last in
   Format.printf "  accuracy %.4f vs baseline %.4f@." t.Corpus.Pipeline.accuracy
     t.Corpus.Pipeline.baseline;
