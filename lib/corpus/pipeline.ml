@@ -5,6 +5,7 @@ let m_chunks = Obs.Metrics.counter "corpus.chunks"
 let m_reports = Obs.Metrics.counter "corpus.reports"
 let m_generated = Obs.Metrics.counter "corpus.generated"
 let m_summaries = Obs.Metrics.counter "corpus.summaries"
+let m_tables = Obs.Metrics.counter "corpus.tables"
 
 let train_chunk = 512
 
@@ -50,11 +51,10 @@ let range_index = function
   | Vulndb.Report.Local -> 1
   | Vulndb.Report.Both -> 2
 
-let cell ~segment (d : Synth.draw) =
-  (((((segment * Array.length ranges) + range_index d.range) * Synth.packages)
-    + d.package)
+let[@inline] cell ~segment ~package ~range ~year =
+  (((((segment * Array.length ranges) + range_index range) * Synth.packages) + package)
    * years)
-  + d.year - Synth.first_year
+  + year - Synth.first_year
 
 (* A synthetic report's vector depends only on its segment and on its
    draw's range, package and year: the version numbers are single
@@ -65,6 +65,7 @@ let cell ~segment (d : Synth.draw) =
    [Features] gives such a report, built from the title and date
    [Synth] writes for it.  Curated reports are scored one by one. *)
 let chunk_classifier model p =
+  Obs.Metrics.incr m_tables;
   let segments = Synth.segments p and ncat = Classifier.ncat in
   let table =
     Array.make (Array.length segments * Array.length ranges * Synth.packages * years) 0
@@ -84,8 +85,8 @@ let chunk_classifier model p =
             Array.iteri
               (fun k date ->
                 let v = Features.of_fields ~flaw ~range ~title ~date in
-                let d = { d0 with package; range; year = Synth.first_year + k } in
-                table.(cell ~segment d) <- truth + Classifier.predict model v)
+                table.(cell ~segment ~package ~range ~year:(Synth.first_year + k))
+                <- truth + Classifier.predict model v)
               dates)
           ranges
       done)
@@ -101,7 +102,8 @@ let chunk_classifier model p =
         count
           ((Category.index r.Vulndb.Report.category * ncat)
            + Classifier.predict model (Features.of_report r)))
-      ~synthetic:(fun ~segment d -> count table.(cell ~segment d));
+      ~synthetic:(fun ~segment ~package ~range ~year ->
+        count table.(cell ~segment ~package ~range ~year));
     { Classifier.n = !n; counts }
 
 let run ?curated ~seed ~total ~chunk () =
@@ -116,7 +118,22 @@ let run ?curated ~seed ~total ~chunk () =
             let md = Classifier.model_digest model in
             let pd = Synth.plan_digest p in
             let n = Synth.chunk_count p ~chunk in
-            let classify = chunk_classifier model p in
+            (* The table is built by the first chunk that misses the
+               store, so a warm run builds none.  [Lazy.force] is not
+               domain-safe; the lock is. *)
+            let table = ref None and lock = Mutex.create () in
+            let classify ~seed ~chunk ~index =
+              let f =
+                Mutex.protect lock (fun () ->
+                    match !table with
+                    | Some f -> f
+                    | None ->
+                        let f = chunk_classifier model p in
+                        table := Some f;
+                        f)
+              in
+              f ~seed ~chunk ~index
+            in
             let summary i =
               Store.Handle.cached ~tag:"corpus-summary"
                 ~key:

@@ -25,7 +25,9 @@
 
     Counters: [corpus.chunks], [corpus.reports] (accounted into the
     final matrix), [corpus.generated] (reports drawn and scored fresh
-    this process), [corpus.summaries] (summaries computed fresh). *)
+    this process), [corpus.summaries] (summaries computed fresh),
+    [corpus.tables] (draw tables built: one per {!chunk_classifier}
+    call, so 1 for a run with a summary miss and 0 for a warm one). *)
 
 type t = {
   total : int;    (** requested corpus size *)
@@ -66,9 +68,10 @@ val run :
   unit ->
   (t, Vulndb.Synth.error) result
 (** Classify a [total]-report corpus in [chunk]-sized pieces fanned
-    over the {!Par} pool.  The draw table is built once, before the
-    fan-out; each chunk is then one {!chunk_classifier} call, and no
-    chunk's reports are ever built. *)
+    over the {!Par} pool.  The first chunk whose summary misses the
+    store builds the draw table, once, and every missed chunk is then
+    scored by the function {!chunk_classifier} returned; a warm run
+    builds no table, and no chunk's reports are ever built. *)
 
 val ok : t -> bool
 (** Conservation (every planned report classified exactly once) and

@@ -1,22 +1,26 @@
-(* The splitmix64 state after [n] draws is [seed + n * golden] modulo
-   2^64, so the generator keeps the seed and the draw count as plain
-   ints and rebuilds that state inside [next]: an [int64] that never
-   leaves the function stays unboxed, and a draw allocates nothing.  A
-   mutable [int64] field would box a fresh state on every draw.  The
-   draws are inlined, so a constant bound is a constant [mod]. *)
+(* The splitmix64 state after [k] draws is [seed + k * golden] modulo
+   2^64, so the [k]-th draw is a pure function of the seed and [k]
+   ([nth]), and the generator keeps the seed and the draw count as
+   plain ints: an [int64] that never leaves [nth] stays unboxed, and a
+   draw allocates nothing.  A mutable [int64] field would box a fresh
+   state on every draw.  The draws are inlined, so a constant bound is
+   a constant [mod]. *)
 type t = { seed : int; mutable draws : int }
 
 let create ~seed = { seed; draws = 0 }
 
 let golden = 0x9E3779B97F4A7C15L
 
-let[@inline] next t =
-  t.draws <- t.draws + 1;
-  let z = Int64.add (Int64.of_int t.seed) (Int64.mul golden (Int64.of_int t.draws)) in
+let[@inline] nth ~seed k =
+  let z = Int64.add (Int64.of_int seed) (Int64.mul golden (Int64.of_int k)) in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
   Int64.to_int (Int64.shift_right_logical z 2)
+
+let[@inline] next t =
+  t.draws <- t.draws + 1;
+  nth ~seed:t.seed t.draws
 
 let[@inline] below t bound =
   if bound <= 0 then invalid_arg "Prng.below: bound must be positive";

@@ -54,11 +54,14 @@ let category_phrase c =
   | Category.Unknown -> "Unspecified"
 
 (* A synthetic report is seven PRNG draws, then strings built from
-   them.  Only [draw] touches the PRNG, so the draw order is written
-   here once; it is part of every report's bytes (test_corpus pins
-   them).  It is the right-to-left argument order of the [sprintf]
-   calls an earlier builder used: the software's minor, major and
-   package, the range, then the date's day, month and year. *)
+   them.  Field [k] below is the [k]-th draw of the position's stream,
+   read by [Prng.nth] and taken as [Prng.in_range] takes a draw; [draw]
+   and [chunk_draws] read the fields through these functions only, so
+   the draw order is written here once.  It is part of every report's
+   bytes (test_corpus pins them).  It is the right-to-left argument
+   order of the [sprintf] calls an earlier builder used: the software's
+   minor, major and package, the range, then the date's day, month and
+   year. *)
 
 type draw = {
   minor : int;
@@ -76,20 +79,23 @@ let first_year = 1998
 
 let last_year = 2002
 
-let draw rng =
-  let minor = Prng.in_range rng ~low:0 ~high:9 in
-  let major = Prng.in_range rng ~low:0 ~high:4 in
-  let package = Prng.below rng packages in
-  let range =
-    match Prng.below rng 4 with
-    | 0 -> Report.Local
-    | 1 -> Report.Both
-    | _ -> Report.Remote
-  in
-  let day = Prng.in_range rng ~low:1 ~high:28 in
-  let month = Prng.in_range rng ~low:1 ~high:12 in
-  let year = Prng.in_range rng ~low:first_year ~high:last_year in
-  { minor; major; package; range; day; month; year }
+let[@inline] uniform s k ~low ~high = low + (Prng.nth ~seed:s k mod (high - low + 1))
+let[@inline] minor_of s = uniform s 1 ~low:0 ~high:9
+let[@inline] major_of s = uniform s 2 ~low:0 ~high:4
+let[@inline] package_of s = uniform s 3 ~low:0 ~high:(packages - 1)
+let[@inline] range_of s =
+  match uniform s 4 ~low:0 ~high:3 with
+  | 0 -> Report.Local
+  | 1 -> Report.Both
+  | _ -> Report.Remote
+let[@inline] day_of s = uniform s 5 ~low:1 ~high:28
+let[@inline] month_of s = uniform s 6 ~low:1 ~high:12
+let[@inline] year_of s = uniform s 7 ~low:first_year ~high:last_year
+
+(* The draw of the stream seeded [s]. *)
+let draw s =
+  { minor = minor_of s; major = major_of s; package = package_of s; range = range_of s;
+    day = day_of s; month = month_of s; year = year_of s }
 
 (* Report strings are written into [Bytes] directly: [Printf] took
    most of a million-report sweep's time. *)
@@ -335,9 +341,6 @@ let seg_index p sp =
   done;
   !lo
 
-(* Synthetic position [sp] draws from its own child stream. *)
-let draw_at ~seed sp = draw (Prng.create ~seed:(Par.Seed.child ~seed ~index:sp))
-
 (* The report at corpus position [pos] (curated first, then
    synthetic): a pure function of [(plan, seed, pos)]. *)
 let report_at p ~seed ~pos =
@@ -346,8 +349,9 @@ let report_at p ~seed ~pos =
   else begin
     let sp = pos - nc in
     let seg = p.segments.(seg_index p sp) in
+    (* synthetic position [sp] draws from its own child stream *)
     materialize ~id:(id_at p sp) ~category:seg.seg_category ~flaw:seg.seg_flaw
-      (draw_at ~seed sp)
+      (draw (Par.Seed.child ~seed ~index:sp))
   end
 
 let chunk_reports p ~seed ~chunk ~index =
@@ -360,7 +364,8 @@ let chunk_reports p ~seed ~chunk ~index =
   go (hi - 1) []
 
 (* Segments are contiguous and never empty, so the segment index steps
-   up by at most one from one position to the next. *)
+   up by at most one from one position to the next.  A position reads
+   the three draws the scorer needs and skips the other four. *)
 let chunk_draws p ~seed ~chunk ~index ~curated ~synthetic =
   let nc = Array.length p.curated in
   let lo = index * chunk in
@@ -374,7 +379,9 @@ let chunk_draws p ~seed ~chunk ~index ~curated ~synthetic =
     for sp = first to hi - nc - 1 do
       let seg = p.segments.(!s) in
       if sp >= seg.seg_first + seg.seg_count then incr s;
-      synthetic ~segment:!s (draw_at ~seed sp)
+      let stream = Par.Seed.child ~seed ~index:sp in
+      synthetic ~segment:!s ~package:(package_of stream) ~range:(range_of stream)
+        ~year:(year_of stream)
     done
   end
 

@@ -72,10 +72,11 @@ type draw = {
   month : int;          (** [1]–[12] *)
   year : int;           (** in [\[first_year, last_year\]] *)
 }
-(** One synthetic report's seven PRNG draws, in the order its stream
-    yields them.  The report is built from them: {!chunk_reports}
-    builds both, and a caller that needs only some of the values
-    reads the draws through {!chunk_draws} and builds no string. *)
+(** One synthetic report's seven PRNG draws: field [k] is the [k]-th
+    draw of the report's stream.  The report is built from them:
+    {!chunk_reports} builds both, and a caller that needs only some of
+    the values reads them through {!chunk_draws} and builds no
+    string. *)
 
 val packages : int
 (** Size of the software package pool. *)
@@ -103,13 +104,15 @@ val chunk_draws :
   chunk:int ->
   index:int ->
   curated:(Report.t -> unit) ->
-  synthetic:(segment:int -> draw -> unit) ->
+  synthetic:(segment:int -> package:int -> range:Report.range -> year:int -> unit) ->
   unit
 (** [chunk_draws p ~seed ~chunk ~index ~curated ~synthetic] visits the
     positions of {!chunk_reports} in order: [curated r] for a curated
-    report, [synthetic ~segment d] for a synthetic one, [d] being the
-    draw the report at that position is built from.  It builds no
-    string and no report. *)
+    report, [synthetic ~segment ~package ~range ~year] for a synthetic
+    one, with the [package], [range] and [year] of the {!draw} the
+    report at that position is built from.  It reads only those three
+    draws of the position's stream, and builds no string, report or
+    draw record. *)
 
 val generate_stream :
   ?curated:Report.t list ->

@@ -411,6 +411,27 @@ let prop_draw_table_any_plan =
     (make ~print:(fun (t, c, s) -> Printf.sprintf "total %d chunk %d seed %d" t c s) gen)
     (fun (total, chunk, seed) -> fst (compare_chunks ~seed ~total ~chunk) = None)
 
+(* A chunk miss visits every synthetic position of its chunk; the
+   visit reads three draws and allocates nothing per position.  The
+   same visit over one position and over a chunk of 4096 allocates the
+   same words (the scorer's own closure is made before either). *)
+let test_chunk_draws_allocate_nothing_per_position () =
+  let p = plan_exn ~total:1_000_000 in
+  let sum = ref 0 in
+  let curated _ = incr sum
+  and synthetic ~segment ~package ~range ~year =
+    sum := !sum + segment + package + year + (if range = Report.Remote then 1 else 0)
+  in
+  let words ~chunk ~index =
+    let before = Gc.minor_words () in
+    Synth.chunk_draws p ~seed:20021130 ~chunk ~index ~curated ~synthetic;
+    Gc.minor_words () -. before
+  in
+  let one = words ~chunk:1 ~index:500_000 and full = words ~chunk:4096 ~index:122 in
+  Alcotest.(check bool) "visited" true (!sum > 0);
+  Alcotest.(check (float 0.)) "4096 positions cost what one does" one full;
+  Alcotest.(check (float 0.)) "one position" 0. one
+
 (* The table leaves out the version numbers, the day and the month.
    For every (category, flaw) pair and package, the vector of the
    report [Synth] builds must not change with the version, and for
@@ -455,6 +476,15 @@ let test_draw_table_key_complete () =
 
 (* ---- store-backed sweeps ------------------------------------------ *)
 
+(* The draw table is built by the first chunk that misses: once on a
+   cold run, at any [-j], and never on a warm one. *)
+let m_tables = Obs.Metrics.counter "corpus.tables"
+
+let tables_built f =
+  let before = Obs.Metrics.counter_value m_tables in
+  let r = f () in
+  (r, Obs.Metrics.counter_value m_tables - before)
+
 let test_warm_sweep_incremental () =
   let reference =
     Corpus.Pipeline.to_json (run_exn ~seed:3 ~total:1200 ~chunk:128 ())
@@ -462,16 +492,21 @@ let test_warm_sweep_incremental () =
   with_dir (fun dir ->
       let s = Store.Disk.open_ ~dir in
       Store.Handle.with_store (Some s) (fun () ->
-          let cold =
-            Corpus.Pipeline.to_json (run_exn ~seed:3 ~total:1200 ~chunk:128 ())
+          let cold, tables =
+            tables_built (fun () ->
+                with_jobs 2 (fun () ->
+                    Corpus.Pipeline.to_json (run_exn ~seed:3 ~total:1200 ~chunk:128 ())))
           in
           Alcotest.(check string) "cold = store-less" reference cold;
+          Alcotest.(check int) "cold builds one table" 1 tables;
           let before = Store.Disk.stats () in
-          let warm =
-            Corpus.Pipeline.to_json (run_exn ~seed:3 ~total:1200 ~chunk:128 ())
+          let warm, tables =
+            tables_built (fun () ->
+                Corpus.Pipeline.to_json (run_exn ~seed:3 ~total:1200 ~chunk:128 ()))
           in
           let d = Store.Disk.sub_stats (Store.Disk.stats ()) before in
           Alcotest.(check string) "warm = store-less" reference warm;
+          Alcotest.(check int) "warm builds no table" 0 tables;
           Alcotest.(check int) "warm recomputes nothing" 0 d.Store.Disk.misses;
           Alcotest.(check int) "warm writes nothing" 0 d.Store.Disk.writes;
           Alcotest.(check bool) "warm is all hits" true (d.Store.Disk.hits > 0)))
@@ -538,11 +573,13 @@ let test_evicted_summary_regenerates_its_chunk () =
           let generated = Obs.Metrics.counter_value m_generated
           and summaries = Obs.Metrics.counter_value m_summaries
           and before = Store.Disk.stats () in
-          let rerun =
-            Corpus.Pipeline.to_json (run_exn ~seed:3 ~total:1200 ~chunk:128 ())
+          let rerun, tables =
+            tables_built (fun () ->
+                Corpus.Pipeline.to_json (run_exn ~seed:3 ~total:1200 ~chunk:128 ()))
           in
           let d = Store.Disk.sub_stats (Store.Disk.stats ()) before in
           Alcotest.(check string) "rerun = store-less" reference rerun;
+          Alcotest.(check int) "corpus.tables: one" 1 tables;
           Alcotest.(check int) "corpus.generated: that chunk's reports"
             expected
             (Obs.Metrics.counter_value m_generated - generated);
@@ -625,6 +662,8 @@ let () =
        [ Alcotest.test_case "= oracle on every chunk of the 1M plan" `Quick
            test_draw_table_million;
          QCheck_alcotest.to_alcotest prop_draw_table_any_plan;
+         Alcotest.test_case "a chunk's draws allocate nothing per position" `Quick
+           test_chunk_draws_allocate_nothing_per_position;
          Alcotest.test_case "no left-out draw moves a vector" `Quick
            test_draw_table_key_complete ]);
       ("store",

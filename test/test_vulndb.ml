@@ -46,6 +46,26 @@ let test_prng_draws_allocate_nothing () =
   Alcotest.(check bool) "drew something" true (!sum > 0);
   Alcotest.(check (float 0.)) "minor words for 10,000 draws" 0. words
 
+(* [nth ~seed k] is the [k]-th [next], read from (seed, k) alone. *)
+let test_prng_nth_is_kth_next () =
+  List.iter
+    (fun seed ->
+      let rng = Vulndb.Prng.create ~seed in
+      for k = 1 to 10_000 do
+        let expected = Vulndb.Prng.next rng in
+        if Vulndb.Prng.nth ~seed k <> expected then
+          Alcotest.failf "seed %d: draw %d differs from the %dth next" seed k k
+      done;
+      let sum = ref 0 in
+      let before = Gc.minor_words () in
+      for k = 1 to 10_000 do
+        sum := !sum lxor Vulndb.Prng.nth ~seed k
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) "drew something" true (!sum <> 0);
+      Alcotest.(check (float 0.)) (Printf.sprintf "seed %d: minor words" seed) 0. words)
+    [ 0; 7; 20021130 ]
+
 let test_prng_bounds () =
   let rng = Vulndb.Prng.create ~seed:11 in
   for _ = 1 to 1000 do
@@ -253,6 +273,7 @@ let () =
          Alcotest.test_case "pinned stream" `Quick test_prng_pinned_stream;
          Alcotest.test_case "draws allocate nothing" `Quick
            test_prng_draws_allocate_nothing;
+         Alcotest.test_case "nth = the k-th next" `Quick test_prng_nth_is_kth_next;
          Alcotest.test_case "bounds" `Quick test_prng_bounds;
          Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes ]);
       ("category",
