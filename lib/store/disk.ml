@@ -55,14 +55,28 @@ let check_key k =
 
 let objects_dir t = Filename.concat t.root "objects"
 
-let shard_dir t key =
-  Filename.concat
-    (Filename.concat (objects_dir t) (String.sub key 0 2))
-    (String.sub key 2 2)
-
 let record_path t ~key =
   check_key key;
-  Filename.concat (shard_dir t key) (key ^ ".rec")
+  Filename.concat (objects_dir t) (key ^ ".rec")
+
+(* Where older builds wrote [key]'s record, relative to [objects/]:
+   two directory levels on the key's first four characters. *)
+let sharded_rel key =
+  Filename.concat
+    (Filename.concat (String.sub key 0 2) (String.sub key 2 2))
+    (key ^ ".rec")
+
+type file_kind = Record_file | Tmp_file | Stray_file
+
+let file_kind rel =
+  let base = Filename.basename rel in
+  if Filename.check_suffix base ".tmp" then Tmp_file
+  else
+    match Filename.chop_suffix_opt ~suffix:".rec" base with
+    | Some key when valid_key key && (rel = base || rel = sharded_rel key) -> Record_file
+    | _ -> Stray_file
+
+let object_path t rel = Filename.concat (objects_dir t) rel
 
 let open_ ~dir =
   if Sys.file_exists dir && not (Sys.is_directory dir) then
@@ -88,15 +102,21 @@ let mark_needs_repair t key = locked t (fun () -> Hashtbl.replace t.needs_repair
 let evict t ~key =
   Obs.Metrics.incr m_corrupt;
   Io.remove_if_exists (record_path t ~key);
+  Io.remove_if_exists (object_path t (sharded_rel key));
   mark_needs_repair t key
 
 let note_corrupt t ~key =
   check_key key;
   evict t ~key
 
+(* A key's record file, or else the one an older build wrote. *)
+let read_record t ~key =
+  match Io.read_file (record_path t ~key) with
+  | Error `Enoent -> Io.read_file (object_path t (sharded_rel key))
+  | r -> r
+
 let find t ~key =
-  let path = record_path t ~key in
-  match Io.read_file path with
+  match read_record t ~key with
   | Error `Enoent ->
       Obs.Metrics.incr m_misses;
       None
@@ -113,13 +133,11 @@ let find t ~key =
           evict t ~key;
           None)
 
+(* The tmp file sits beside the record, in the [objects/] that [open_]
+   made, so a put makes no directory. *)
 let put t ~key ~payload =
   let dest = record_path t ~key in
-  Io.mkdir_p (shard_dir t key);
-  let tmp =
-    Filename.concat (shard_dir t key)
-      (Printf.sprintf "%s.%d.tmp" key (Par.unique_tag ()))
-  in
+  let tmp = Printf.sprintf "%s.%d.tmp" (object_path t key) (Par.unique_tag ()) in
   match Io.commit ~tmp ~dest (Record.encode payload) with
   | Error _ -> Obs.Metrics.incr m_write_failures
   | Ok () ->

@@ -3,18 +3,27 @@
     Layout under the store root:
 
     {v
-    objects/<k0k1>/<k2k3>/<key>.rec   one checksummed record per key
-    objects/.../<key>.<tag>.tmp       in-flight commits (orphaned by a crash)
+    objects/<key>.rec                 one checksummed record per key
+    objects/<key>.<tag>.tmp           in-flight commits (orphaned by a crash)
+    objects/<k0k1>/<k2k3>/<key>.rec   a record as older builds wrote it
     v}
 
     The object tree is the store's only index: a key is stored iff
     its record file is.  Files beside [objects/] are never read, so a
     store directory older builds left a key journal in serves as
-    is.  Keys are lowercase hex digests (two-level sharding on the
-    first four characters).  A commit is tmp+write+rename and nothing
-    else, so a reader never observes a half-written record under an
-    honest filesystem; torn and flipped records (crashes, injected
-    faults) are caught by the record checksum on read.
+    is.  Keys are lowercase hex digests.  A commit is tmp+write+rename
+    inside the [objects/] directory {!open_} makes, and nothing else:
+    a {!put} creates no directory, and a reader never observes a
+    half-written record under an honest filesystem; torn and flipped
+    records (crashes, injected faults) are caught by the record
+    checksum on read.
+
+    Older builds sharded records two directory levels deep on the
+    key's first four characters.  {!find} still serves a verified
+    record at that path, read-only, when the key has none at
+    [<key>.rec], and an eviction removes the key at both paths.  The
+    fallback can go with the next record version, which cold-starts
+    every older store anyway.
 
     Robustness contract: {!find} and {!put} never raise on I/O or
     corruption.  A corrupt, torn, unparseable or version-mismatched
@@ -75,7 +84,20 @@ val stats : unit -> stats
     a read taken after it and one taken before. *)
 
 val record_path : t -> key:string -> string
-(** Absolute path of the record file for [key] (tests, fsck). *)
+(** Absolute path of the record file {!put} commits for [key] (tests,
+    bench). *)
 
 val object_files : t -> string list
 (** All files under [objects/], relative to it, sorted. *)
+
+val object_path : t -> string -> string
+(** The absolute path of an {!object_files} entry. *)
+
+type file_kind =
+  | Record_file  (** where {!find} reads a key's record from *)
+  | Tmp_file  (** an in-flight commit *)
+  | Stray_file  (** a file no key is read from *)
+
+val file_kind : string -> file_kind
+(** What an {!object_files} entry is: [fsck] asks, so the layout is
+    written in this module alone. *)

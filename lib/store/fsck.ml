@@ -23,43 +23,21 @@ type report = {
   removed : int;
 }
 
-let has_suffix ~suffix s =
-  let n = String.length s and m = String.length suffix in
-  n >= m && String.sub s (n - m) m = suffix
-
-(* A record file's name carries its key; the sharding prefix must
-   agree or the file was moved by hand and is unfindable. *)
-let key_of_rec_path rel =
-  let base = Filename.basename rel in
-  if not (has_suffix ~suffix:".rec" base) then None
-  else
-    let key = String.sub base 0 (String.length base - 4) in
-    if not (Disk.valid_key key) then None
-    else
-      let expect =
-        Filename.concat
-          (Filename.concat (String.sub key 0 2) (String.sub key 2 2))
-          base
-      in
-      if rel = expect then Some key else None
-
 let classify_file store rel =
-  if has_suffix ~suffix:".tmp" rel then Orphan_tmp
-  else
-    match key_of_rec_path rel with
-    | None -> Checksum_mismatch  (* stray: not ours, not findable *)
-    | Some key -> (
-        match Io.read_file (Disk.record_path store ~key) with
-        | Error _ -> Checksum_mismatch
-        | Ok raw -> (
-            match Record.decode raw with
-            | Ok _ -> Sound
-            | Error Record.Torn -> Torn
-            | Error Record.Checksum_mismatch -> Checksum_mismatch
-            | Error Record.Stale_version -> Stale_version))
+  match Disk.file_kind rel with
+  | Disk.Tmp_file -> Orphan_tmp
+  | Disk.Stray_file -> Checksum_mismatch  (* not ours, not findable *)
+  | Disk.Record_file -> (
+      match Io.read_file (Disk.object_path store rel) with
+      | Error _ -> Checksum_mismatch
+      | Ok raw -> (
+          match Record.decode raw with
+          | Ok _ -> Sound
+          | Error Record.Torn -> Torn
+          | Error Record.Checksum_mismatch -> Checksum_mismatch
+          | Error Record.Stale_version -> Stale_version))
 
 let scan ?(repair = false) store =
-  let objects = Filename.concat (Disk.dir store) "objects" in
   let entries = ref [] in
   let counts = Hashtbl.create 8 in
   let bump st = Hashtbl.replace counts st (1 + Option.value ~default:0 (Hashtbl.find_opt counts st)) in
@@ -68,13 +46,12 @@ let scan ?(repair = false) store =
       let status = classify_file store rel in
       bump status;
       if status <> Sound then
+        let path = Disk.object_path store rel in
         let removed =
-          repair
-          && (Io.remove_if_exists (Filename.concat objects rel);
-              not (Sys.file_exists (Filename.concat objects rel)))
+          repair && (Io.remove_if_exists path; not (Sys.file_exists path))
         in
         entries := { path = rel; status; removed } :: !entries)
-    (Io.files_under objects);
+    (Disk.object_files store);
   let entries = List.sort (fun a b -> compare a.path b.path) !entries in
   let count st = Option.value ~default:0 (Hashtbl.find_opt counts st) in
   {

@@ -118,9 +118,94 @@ let test_disk_roundtrip_and_reopen () =
       Alcotest.(check (option string)) "reopen finds beta"
         (Some "beta\nwith newline")
         (S.Disk.find s2 ~key:key_b);
-      Alcotest.(check (list string)) "object tree holds both records"
-        [ "aa/bb/" ^ key_a ^ ".rec"; "ff/ee/" ^ key_b ^ ".rec" ]
+      Alcotest.(check (list string)) "object tree holds both records, flat"
+        [ key_a ^ ".rec"; key_b ^ ".rec" ]
         (S.Disk.object_files s2))
+
+(* The directories under [objects/], relative to it. *)
+let object_dirs dir =
+  let objects = Filename.concat dir "objects" in
+  let rec walk rel acc =
+    Array.fold_left
+      (fun acc name ->
+        let rel = if rel = "" then name else Filename.concat rel name in
+        if Sys.is_directory (Filename.concat objects rel) then walk rel (rel :: acc)
+        else acc)
+      acc
+      (Sys.readdir (if rel = "" then objects else Filename.concat objects rel))
+  in
+  List.sort compare (walk "" [])
+
+let test_disk_put_makes_no_directory () =
+  with_dir (fun dir ->
+      let s = S.Disk.open_ ~dir in
+      List.iter
+        (fun i -> S.Disk.put s ~key:(Printf.sprintf "%016x" (i * 0x1234567)) ~payload:"p")
+        (List.init 64 Fun.id);
+      Alcotest.(check int) "64 records" 64 (List.length (S.Disk.object_files s));
+      Alcotest.(check (list string)) "no directory under objects/" [] (object_dirs dir))
+
+(* A record where older builds wrote it: two directory levels on the
+   key's first four characters. *)
+let place_sharded dir ~key image =
+  let shard =
+    Filename.concat
+      (Filename.concat (Filename.concat dir "objects") (String.sub key 0 2))
+      (String.sub key 2 2)
+  in
+  S.Io.mkdir_p shard;
+  let path = Filename.concat shard (key ^ ".rec") in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc image);
+  path
+
+let test_disk_serves_sharded_record () =
+  with_dir (fun dir ->
+      let s = S.Disk.open_ ~dir in
+      let path = place_sharded dir ~key:key_a (S.Record.encode "older build") in
+      let before = S.Disk.stats () in
+      Alcotest.(check (option string)) "sharded record served" (Some "older build")
+        (S.Disk.find s ~key:key_a);
+      let st = since before in
+      Alcotest.(check int) "a hit" 1 st.S.Disk.hits;
+      Alcotest.(check int) "no miss" 0 st.S.Disk.misses;
+      Alcotest.(check int) "no write" 0 st.S.Disk.writes;
+      Alcotest.(check bool) "left where it is" true (Sys.file_exists path);
+      Alcotest.(check (list string)) "nothing written flat"
+        [ "aa/bb/" ^ key_a ^ ".rec" ] (S.Disk.object_files s);
+      let r = S.Fsck.scan s in
+      Alcotest.(check int) "fsck: sound" 1 r.S.Fsck.sound;
+      Alcotest.(check bool) "fsck: clean" true (S.Fsck.clean r && r.S.Fsck.entries = []);
+      (* one level deep is neither layout: no key is read from there *)
+      let stray = Filename.concat (Filename.concat dir "objects") "aa" in
+      Out_channel.with_open_bin
+        (Filename.concat stray (key_a ^ ".rec"))
+        (fun oc -> Out_channel.output_string oc (S.Record.encode "stray"));
+      let r = S.Fsck.scan s in
+      Alcotest.(check int) "fsck: one-level copy is a stray" 1 r.S.Fsck.checksum_mismatch)
+
+let test_disk_evicts_corrupt_sharded_record () =
+  with_dir (fun dir ->
+      let s = S.Disk.open_ ~dir in
+      let img = S.Record.encode "older build" in
+      let torn = place_sharded dir ~key:key_a (String.sub img 0 (String.length img - 1)) in
+      let before = S.Disk.stats () in
+      S.Handle.with_store (Some s) (fun () ->
+          Alcotest.(check int) "corrupt: recomputed" 7
+            (S.Handle.cached ~tag:"t" ~key:key_a (fun () -> 7)));
+      let st = since before in
+      Alcotest.(check int) "counted corrupt" 1 st.S.Disk.corrupt;
+      Alcotest.(check int) "rewrite is a repair" 1 st.S.Disk.repaired;
+      Alcotest.(check bool) "sharded record evicted" false (Sys.file_exists torn);
+      Alcotest.(check (list string)) "rewritten flat" [ key_a ^ ".rec" ]
+        (S.Disk.object_files s);
+      (* a key held at both paths: an eviction clears both, so the
+         sharded copy cannot be served in the evicted one's place *)
+      let sound = place_sharded dir ~key:key_a (S.Record.encode "older build") in
+      S.Disk.note_corrupt s ~key:key_a;
+      Alcotest.(check bool) "flat record evicted" false
+        (Sys.file_exists (S.Disk.record_path s ~key:key_a));
+      Alcotest.(check bool) "sharded record evicted" false (Sys.file_exists sound);
+      Alcotest.(check (option string)) "then a miss" None (S.Disk.find s ~key:key_a))
 
 let test_disk_key_validation () =
   Alcotest.(check bool) "hex key ok" true (S.Disk.valid_key key_a);
@@ -411,7 +496,13 @@ let () =
            test_disk_roundtrip_and_reopen;
          Alcotest.test_case "key validation" `Quick test_disk_key_validation;
          Alcotest.test_case "degrades on corruption" `Quick
-           test_disk_degrades_on_corruption ]);
+           test_disk_degrades_on_corruption;
+         Alcotest.test_case "puts make no directory" `Quick
+           test_disk_put_makes_no_directory;
+         Alcotest.test_case "older two-level record served" `Quick
+           test_disk_serves_sharded_record;
+         Alcotest.test_case "corrupt two-level record evicted" `Quick
+           test_disk_evicts_corrupt_sharded_record ]);
       ("codec", [ Alcotest.test_case "tagged marshal" `Quick test_codec ]);
       ("handle",
        [ Alcotest.test_case "cached flow" `Quick test_handle_cached;
