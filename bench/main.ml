@@ -1077,7 +1077,8 @@ let store_bench () =
     (fun () ->
       Store.Handle.with_store (Some s) (fun () ->
           (* cold: evicting every record before a pass isolates the
-             write path (a fresh store per pass would time mkdir) *)
+             write path; a put makes no directory, and a fresh store
+             per pass would add [open_]'s mkdir of [objects/] *)
           let corrupt_all () =
             List.iter (fun k -> Store.Disk.note_corrupt s ~key:k) (keys ())
           in
