@@ -121,15 +121,15 @@ let run ?curated ~seed ~total ~chunk () =
             (* The table is built by the first chunk that misses the
                store, so a warm run builds none.  [Lazy.force] is not
                domain-safe; the lock is. *)
-            let table = ref None and lock = Mutex.create () in
+            let scorer = ref None and lock = Mutex.create () in
             let classify ~seed ~chunk ~index =
               let f =
                 Mutex.protect lock (fun () ->
-                    match !table with
+                    match !scorer with
                     | Some f -> f
                     | None ->
                         let f = chunk_classifier model p in
-                        table := Some f;
+                        scorer := Some f;
                         f)
               in
               f ~seed ~chunk ~index

@@ -32,7 +32,7 @@ let m_writes = Obs.Metrics.counter "store.writes"
 let m_write_failures = Obs.Metrics.counter "store.write_failures"
 
 type t = {
-  root : string;
+  objects : string;
   lock : Mutex.t;  (* needs_repair table *)
   needs_repair : (string, unit) Hashtbl.t;
 }
@@ -53,11 +53,9 @@ let check_key k =
   if not (valid_key k) then
     invalid_arg (Printf.sprintf "Store.Disk: invalid key %S" k)
 
-let objects_dir t = Filename.concat t.root "objects"
-
 let record_path t ~key =
   check_key key;
-  Filename.concat (objects_dir t) (key ^ ".rec")
+  Filename.concat t.objects (key ^ ".rec")
 
 (* Where older builds wrote [key]'s record, relative to [objects/]:
    two directory levels on the key's first four characters. *)
@@ -76,17 +74,16 @@ let file_kind rel =
     | Some key when valid_key key && (rel = base || rel = sharded_rel key) -> Record_file
     | _ -> Stray_file
 
-let object_path t rel = Filename.concat (objects_dir t) rel
+let object_path t rel = Filename.concat t.objects rel
 
 let open_ ~dir =
   if Sys.file_exists dir && not (Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": not a directory"));
-  Io.mkdir_p (Filename.concat dir "objects");
-  { root = dir;
+  let objects = Filename.concat dir "objects" in
+  Io.mkdir_p objects;
+  { objects;
     lock = Mutex.create ();
     needs_repair = Hashtbl.create 16 }
-
-let dir t = t.root
 
 let stats () =
   let v = Obs.Metrics.counter_value in
@@ -150,4 +147,4 @@ let put t ~key ~payload =
       in
       if was_corrupt then Obs.Metrics.incr m_repaired
 
-let object_files t = Io.files_under (objects_dir t)
+let object_files t = Io.files_under t.objects

@@ -60,8 +60,6 @@ val open_ : dir:string -> t
     process-unique tmp names.
     @raise Sys_error when [dir] exists but is not a directory. *)
 
-val dir : t -> string
-
 val find : t -> key:string -> string option
 (** The payload committed under [key], verified.  [None] on a missing
     record (a miss) or on any failed verification (counted corrupt,
