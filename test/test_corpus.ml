@@ -412,9 +412,8 @@ let prop_draw_table_any_plan =
     (fun (total, chunk, seed) -> fst (compare_chunks ~seed ~total ~chunk) = None)
 
 (* A chunk miss visits every synthetic position of its chunk; the
-   visit reads three draws and allocates nothing per position.  The
-   same visit over one position and over a chunk of 4096 allocates the
-   same words (the scorer's own closure is made before either). *)
+   visit reads three draws and allocates nothing per position (the
+   scorer's own closure is made before the count starts). *)
 let test_chunk_draws_allocate_nothing_per_position () =
   let p = plan_exn ~total:1_000_000 in
   let sum = ref 0 in
@@ -422,15 +421,11 @@ let test_chunk_draws_allocate_nothing_per_position () =
   and synthetic ~segment ~package ~range ~year =
     sum := !sum + segment + package + year + (if range = Report.Remote then 1 else 0)
   in
-  let words ~chunk ~index =
-    let before = Gc.minor_words () in
-    Synth.chunk_draws p ~seed:20021130 ~chunk ~index ~curated ~synthetic;
-    Gc.minor_words () -. before
-  in
-  let one = words ~chunk:1 ~index:500_000 and full = words ~chunk:4096 ~index:122 in
+  let before = Gc.minor_words () in
+  Synth.chunk_draws p ~seed:20021130 ~chunk:4096 ~index:122 ~curated ~synthetic;
+  let words = Gc.minor_words () -. before in
   Alcotest.(check bool) "visited" true (!sum > 0);
-  Alcotest.(check (float 0.)) "4096 positions cost what one does" one full;
-  Alcotest.(check (float 0.)) "one position" 0. one
+  Alcotest.(check (float 0.)) "minor words for 4096 positions" 0. words
 
 (* The table leaves out the version numbers, the day and the month.
    For every (category, flaw) pair and package, the vector of the
