@@ -55,8 +55,9 @@ val chunk_classifier :
     {!Features} reads from such a report.  The function it returns
     scores chunk [index], bit for bit as [predict model
     (Features.of_report r)] over {!Vulndb.Synth.chunk_reports} would:
-    a synthetic position costs its draws ({!Vulndb.Synth.chunk_draws})
-    and one table read, and builds no string or report; a curated
+    a synthetic position costs the three draws the table keys on
+    ({!Vulndb.Synth.chunk_draws}) and one table read, and allocates
+    nothing; a curated
     report is scored by [predict].  The table is read-only, so the
     function is safe to run on pool domains. *)
 
